@@ -1,10 +1,11 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Numeric kernels with a numba fast path and a pure-numpy fallback.
 
-Two kernels dominate runtime:
-
-* ``scaled_congruence_rows`` — per interior-point iteration, every equality
-  row's symmetric matrix F_i is mapped to svec(R^T F_i R) for the scaled
-  Schur-complement assembly;
+* ``scaled_congruence_rows`` — svec(R^T F_i R) for a batch of rows svec(F_i).
+  Facial reduction maps every row onto the face with it once per solve.
+  Inside the interior-point loop it runs only for the *dense* rows (more
+  nonzeros than the PSD order) of the Schur assembly; sparse rows are
+  assembled from the scaling matrix W = R R^T instead (``solver._SchurRows``),
+  and the tests use this kernel as the reference for that assembly.
 * ``bqp_enumerate`` — brute-force enumeration of all sign vectors for the
   desk-scale oracles (gray-code incremental updates under numba, chunked
   vectorized scan under numpy).
@@ -21,6 +22,8 @@ index, so results are backend-independent on exactly-representable data.
 import os
 
 import numpy as np
+
+from .symcone import svec_index
 
 _ENV_FLAG = "BQRELAX_BACKEND"
 _RESCAN_PERIOD = 4096  # bound incremental float drift well below the 1e-9 feasibility tol
@@ -54,12 +57,6 @@ def active_backend() -> str:
 # scaled congruence of svec'd rows
 # ----------------------------------------------------------------------
 
-def _tril_meta(d):
-    ii, jj = np.tril_indices(d)
-    scale = np.where(ii == jj, 1.0, np.sqrt(2.0))
-    return ii.astype(np.int64), jj.astype(np.int64), scale
-
-
 def scaled_congruence_rows_numpy(rows: np.ndarray, R: np.ndarray) -> np.ndarray:
     """rows[i] = svec(F_i)  ->  out[i] = svec(R^T F_i R), batched.
 
@@ -67,8 +64,8 @@ def scaled_congruence_rows_numpy(rows: np.ndarray, R: np.ndarray) -> np.ndarray:
     """
     m, sd = rows.shape
     d, d2 = R.shape
-    ii, jj, scale = _tril_meta(d)
-    oi, oj, oscale = _tril_meta(d2)
+    ii, jj, scale = svec_index(d)
+    oi, oj, oscale = svec_index(d2)
     vals = rows / scale
     F = np.zeros((m, d, d))
     F[:, ii, jj] = vals
@@ -99,8 +96,8 @@ if _HAVE_NUMBA:
 
     def scaled_congruence_rows_numba(rows: np.ndarray, R: np.ndarray) -> np.ndarray:
         d, d2 = R.shape
-        ii, jj, scale = _tril_meta(d)
-        oi, oj, oscale = _tril_meta(d2)
+        ii, jj, scale = svec_index(d)
+        oi, oj, oscale = svec_index(d2)
         return _scaled_congruence_rows_nb(
             np.ascontiguousarray(rows), np.ascontiguousarray(R), ii, jj, scale, oi, oj, oscale
         )

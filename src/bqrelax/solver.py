@@ -27,13 +27,14 @@ Rows are normalized to unit coefficient norm for conditioning.
 import logging
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from . import kernels
 from .relax import ConicProgram
-from .symcone import psd_margin, smat, svec
+from .symcone import psd_margin, smat, svec, svec_index
 
 log = logging.getLogger(__name__)
 
@@ -169,10 +170,12 @@ def presolve_rank_check(prog: ConicProgram, quiet: bool = False) -> PresolveResu
 
     Gk = G[kept]
     bk = prog.rhs[kept]
-    for r in dropped:
-        if r in zero_rows:
-            continue  # already consistency-checked above
-        coeffs, *_ = np.linalg.lstsq(Gk.T, G[r], rcond=None)
+    # zero rows were consistency-checked above
+    dependent = [r for r in dropped if r not in zero_rows]
+    if dependent:
+        combos, *_ = np.linalg.lstsq(Gk.T, G[dependent].T, rcond=None)
+    for j, r in enumerate(dependent):
+        coeffs = combos[:, j]
         mismatch = abs(prog.rhs[r] - coeffs @ bk)
         if mismatch > RANK_RHS_MISMATCH * (1.0 + abs(prog.rhs[r])):
             y = np.zeros(rows)
@@ -256,6 +259,142 @@ def _max_step_scalar(x: float, dx: float) -> float:
     return np.inf if dx >= 0 else -x / dx
 
 
+class _Slot(NamedTuple):
+    """The t-th nonzero of each sparse row that has one: its position in the
+    support J, its svec index k = (a, b), its value v and v * svec scale."""
+
+    kJ: np.ndarray
+    k: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    v: np.ndarray
+    vs: np.ndarray
+
+
+class _SchurRows:
+    """How the equality rows enter the Schur block of the normal equations,
+    fixed once per solve from their sparsity.
+
+    With V = [svec(R^T F_i R)]_i the block is M = V V^T + (Gn w2) Gn^T.
+
+    * PSD rows with at most d nonzeros in svec(F_i) are *sparse*: their part
+      of M comes straight from the NT scaling matrix W = R R^T by the
+      sparse-row rule of Fujisawa-Kojima-Nakata (SDPA) and SDPT3,
+      ``<R^T B_k R, R^T B_l R> = s_k s_l (W_ac W_bd + W_ad W_bc)`` for svec
+      basis matrices B_k, k = (a, b), l = (c, d), with s = 1/sqrt(2) on the
+      diagonal and 1 off it (for unit-diagonal rows, M = W o W).  Their
+      products V_i z are F_i . (R smat(z) R^T).
+    * Denser rows keep the batched congruence V_D; their arithmetic is the
+      same as without sparse rows.  The sparse x dense block is
+      G_S . svec(W F_j W).
+    * Orthant columns with at most one nonzero (slacks) add a diagonal term
+      only; other columns stay a dense product.
+
+    Sparse rows are held per "slot" t (the t-th nonzero of each row, rows
+    ordered by nonzero count so every slot covers a prefix of them), as plain
+    index arrays.  The W-entry matrix over the sparse rows' svec support J is
+    |J| x |J|; when |J| exceeds the KKT order every row is treated as dense,
+    so it is never larger than the KKT matrix.  So is every row when no
+    sparse row touches the PSD block (for example free-only rows next to the
+    dense rows of a face-reduced program).
+    """
+
+    def __init__(self, Gp: np.ndarray, Gn: np.ndarray, d: int, kkt_order: int):
+        self.rows = Gp.shape[0]
+        counts = np.count_nonzero(Gp, axis=1)
+        order = np.argsort(-counts, kind="stable")
+        sparse = order[counts[order] <= d]
+        support = np.flatnonzero(np.any(Gp[sparse] != 0, axis=0))
+        if support.size == 0 or support.size > kkt_order:
+            sparse, support = order[:0], support[:0]
+        self.sparse = sparse
+        self.dense = np.setdiff1d(np.arange(self.rows), sparse)
+        self.Gd = Gp if sparse.size == 0 else Gp[self.dense]
+        # (sparse rows in slot order, dense rows) back to row order
+        order = np.concatenate([sparse, self.dense])
+        self.unsort = np.argsort(order) if np.any(order != np.arange(self.rows)) else None
+        self.d = d
+
+        ii, jj, scale = svec_index(d)
+        self.Ja, self.Jb = ii[support], jj[support]
+        sig = scale[support] / np.sqrt(2.0)
+        self.Jsig = np.outer(sig, sig)
+        Gs = Gp[sparse]
+        r, k = np.nonzero(Gs)
+        cs = counts[sparse]
+        slot = np.arange(r.size) - (np.cumsum(cs) - cs)[r]
+        self.slots = []
+        for t in range(int(cs.max()) if cs.size else 0):
+            on = slot == t
+            kt = k[on]
+            v = Gs[r[on], kt]
+            self.slots.append(_Slot(np.searchsorted(support, kt), kt, ii[kt], jj[kt], v,
+                                    v * scale[kt]))
+
+        col_counts = np.count_nonzero(Gn, axis=0)
+        self.Gn_dense_cols = np.flatnonzero(col_counts > 1)
+        self.Gn_dense = Gn[:, self.Gn_dense_cols]
+        nr, nc = np.nonzero(Gn[:, col_counts == 1])
+        self.nn_rows = nr
+        self.nn_cols = np.flatnonzero(col_counts == 1)[nc]
+        self.nn_vals = Gn[nr, self.nn_cols]
+
+    def _sparse_block(self, W: np.ndarray) -> np.ndarray:
+        """Sparse x sparse part of V V^T from W = R R^T, rows in slot order."""
+        Ja, Jb = self.Ja, self.Jb
+        WA, WB = W[Ja], W[Jb]
+        T = WA.take(Ja, axis=1) * WB.take(Jb, axis=1)
+        T += WA.take(Jb, axis=1) * WB.take(Ja, axis=1)
+        T *= self.Jsig
+        n = self.sparse.size
+        P = np.zeros((n, T.shape[0]))
+        for s in self.slots:
+            P[:s.v.size] += s.v[:, None] * T.take(s.kJ, axis=0)
+        Mss = np.zeros((n, n))
+        for s in self.slots:
+            Mss[:, :s.v.size] += P.take(s.kJ, axis=1) * s.v
+        return Mss
+
+    def scaled(self, R: np.ndarray, w2: np.ndarray):
+        """(M, Vz): the Schur block at scaling R and orthant weights w2, and
+        the map z -> V z."""
+        S, D = self.sparse, self.dense
+        VD = kernels.scaled_congruence_rows(self.Gd, R) if D.size and self.d else None
+        if S.size == 0:
+            M = VD @ VD.T if VD is not None else np.zeros((self.rows, self.rows))
+        else:
+            W = R @ R.T
+            M = self._sparse_block(W)
+            if VD is not None:
+                Y = kernels.scaled_congruence_rows(self.Gd, W)
+                Msd = np.zeros((S.size, D.size))
+                for s in self.slots:
+                    Msd[:s.v.size] += s.v[:, None] * Y[:, s.k].T
+                M = np.block([[M, Msd], [Msd.T, VD @ VD.T]])
+            if self.unsort is not None:
+                M = M.take(self.unsort, axis=0).take(self.unsort, axis=1)
+        if self.Gn_dense_cols.size:
+            M += (self.Gn_dense * w2[self.Gn_dense_cols]) @ self.Gn_dense.T
+        if self.nn_rows.size:
+            np.add.at(M, (self.nn_rows, self.nn_rows),
+                      (self.nn_vals * w2[self.nn_cols]) * self.nn_vals)
+
+        def Vz(z: np.ndarray) -> np.ndarray:
+            if S.size == 0:
+                return VD @ z if VD is not None else np.zeros(self.rows)
+            out = np.empty(self.rows)
+            if VD is not None:
+                out[D] = VD @ z
+            RZ = R @ smat(z)
+            g = np.zeros(S.size)
+            for s in self.slots:
+                g[:s.v.size] += s.vs * np.einsum("ij,ij->i", RZ[s.a], R[s.b])
+            out[S] = g
+            return out
+
+        return M, Vz
+
+
 class _Workspace:
     """One solve's state; owns all iterate vectors (single-threaded).
 
@@ -292,6 +431,7 @@ class _Workspace:
             0.0,
         )
         self.bnorm = np.abs(self.b).max() if self.rows else 0.0
+        self.schur = _SchurRows(self.Gp, self.Gn, self.d, self.rows + self.f)
 
         self.x_psd = svec(np.eye(self.d)) if self.d else np.zeros(0)
         self.x_nn = np.ones(self.p)
@@ -644,19 +784,15 @@ def _iterate(ws: _Workspace):
             X = smat(ws.x_psd)
             S = smat(ws.s_psd)
             R, RinvT, lam = _nt_scaling(X, S)
-            V = kernels.scaled_congruence_rows(ws.Gp, R)
             c_ps = svec(R.T @ smat(ws.c_psd) @ R)
-            rd_ps = svec(R.T @ smat(rd_psd) @ R)
         else:
             R = RinvT = np.zeros((0, 0))
             lam = np.zeros(0)
-            V = np.zeros((rows, 0))
             c_ps = np.zeros(0)
-            rd_ps = np.zeros(0)
         w_nn = np.sqrt(ws.x_nn / ws.s_nn)
         w2 = w_nn**2
 
-        M = V @ V.T + (ws.Gn * w2) @ ws.Gn.T
+        M, Vz = ws.schur.scaled(R, w2)
         K = np.zeros((rows + f, rows + f))
         K[:rows, :rows] = M
         K[:rows, rows:] = ws.Gf
@@ -670,7 +806,7 @@ def _iterate(ws: _Workspace):
             ws.restore_best()
             return STATUS_NUMERICAL_TROUBLE, None
 
-        u = V @ c_ps + ws.Gn @ (w2 * ws.c_nn)
+        u = Vz(c_ps) + ws.Gn @ (w2 * ws.c_nn)
         theta_c = float(c_ps @ c_ps + (w_nn * ws.c_nn) @ (w_nn * ws.c_nn))
         q = np.concatenate([ws.b - u, -ws.c_f])
         z2 = _solve_refined(K, lu, np.concatenate([u + ws.b, -ws.c_f]))
@@ -690,14 +826,15 @@ def _iterate(ws: _Workspace):
             if d:
                 Hm = Em * lam_outer
                 h = svec(Hm)
-                Wt2 = V @ svec(R.T @ smat(t2p) @ R) + ws.Gn @ (w2 * t2n)
-                cWt2 = float(c_ps @ svec(R.T @ smat(t2p) @ R) + (w2 * ws.c_nn) @ t2n)
+                t2s = svec(R.T @ smat(t2p) @ R)
+                Wt2 = Vz(t2s) + ws.Gn @ (w2 * t2n)
+                cWt2 = float(c_ps @ t2s + (w2 * ws.c_nn) @ t2n)
             else:
                 Hm = np.zeros((0, 0))
                 h = np.zeros(0)
                 Wt2 = ws.Gn @ (w2 * t2n)
                 cWt2 = float((w2 * ws.c_nn) @ t2n)
-            Gh = V @ h + ws.Gn @ (En / ws.s_nn)
+            Gh = Vz(h) + ws.Gn @ (En / ws.s_nn)
             cGh = float(c_ps @ h + ws.c_nn @ (En / ws.s_nn))
             r1 = t1 - Wt2 - Gh
             r2 = t2f

@@ -8,6 +8,8 @@ All checks that involve "is this PSD" are relative to max(1, spectral radius)
 to stay scale-invariant.
 """
 
+import functools
+
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
@@ -25,19 +27,19 @@ class SingularBlockError(ValueError):
     """A matrix block that must be invertible is (numerically) singular."""
 
 
-def tril_indices(d):
-    """Row-by-row lower-triangle index pair arrays for order d."""
-    return np.tril_indices(d)
-
-
 def svec_len(d: int) -> int:
     return d * (d + 1) // 2
 
 
-def svec_scale(d: int) -> np.ndarray:
-    """Per-entry scaling of the lower-triangle scan (sqrt(2) off diagonal)."""
+@functools.lru_cache(maxsize=64)
+def svec_index(d: int):
+    """(ii, jj, scale) of the svec scan for order d: entry k of svec is
+    scale[k] * M[ii[k], jj[k]].  Cached per order, read-only."""
     ii, jj = np.tril_indices(d)
-    return np.where(ii == jj, 1.0, SQRT2)
+    scale = np.where(ii == jj, 1.0, SQRT2)
+    for a in (ii, jj, scale):
+        a.setflags(write=False)
+    return ii, jj, scale
 
 
 def check_symmetric(M: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -52,9 +54,8 @@ def check_symmetric(M: np.ndarray, tol: float = 0.0) -> np.ndarray:
 def svec(M: np.ndarray) -> np.ndarray:
     """Symmetric matrix -> packed vector of length d(d+1)/2."""
     M = np.asarray(M, dtype=float)
-    d = M.shape[0]
-    ii, jj = np.tril_indices(d)
-    return M[ii, jj] * svec_scale(d)
+    ii, jj, scale = svec_index(M.shape[0])
+    return M[ii, jj] * scale
 
 
 def smat(v: np.ndarray) -> np.ndarray:
@@ -68,9 +69,9 @@ def smat(v: np.ndarray) -> np.ndarray:
     d = int(round((np.sqrt(8 * ln + 1) - 1) / 2))
     if svec_len(d) != ln:
         raise DimensionError(f"length {ln} is not d(d+1)/2 for any integer d")
-    ii, jj = np.tril_indices(d)
+    ii, jj, scale = svec_index(d)
     M = np.zeros((d, d))
-    vals = v / svec_scale(d)
+    vals = v / scale
     M[ii, jj] = vals
     M[jj, ii] = vals
     return M
@@ -85,11 +86,6 @@ def eigvals_sym(M: np.ndarray) -> np.ndarray:
 
 def min_eigenvalue(M: np.ndarray) -> float:
     return float(eigvals_sym(M)[0])
-
-
-def spectral_radius(M: np.ndarray) -> float:
-    w = eigvals_sym(M)
-    return float(max(abs(w[0]), abs(w[-1])))
 
 
 def is_psd(M: np.ndarray, tol: float = 1e-8) -> bool:

@@ -3,14 +3,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bqrelax.model import MaxCutGraph, generate_instance
-from bqrelax.relax import ConicProgram, build_dnnp, build_mc_sdr, build_sdr, build_sdr1, build_sdr2
+from bqrelax import kernels
+from bqrelax.model import BqpInstance, MaxCutGraph, generate_instance, random_graph
+from bqrelax.relax import (
+    ConicProgram,
+    build_dnnp,
+    build_mc_dnnp,
+    build_mc_sdr,
+    build_sdr,
+    build_sdr1,
+    build_sdr2,
+)
 from bqrelax.solver import (
     STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     SolverSettings,
+    _Workspace,
     certify,
     presolve_rank_check,
     solve,
@@ -257,6 +267,22 @@ def test_presolve_conflicting_duplicate_infeasible(ex_tight):
     assert certify(bad, sol, 1e-6).ok
 
 
+def test_presolve_two_dependent_rows_one_conflicting(ex_tight):
+    # both appended rows are dependent; the batched consistency check must
+    # still single out the conflicting one and return its Farkas certificate
+    prog, _ = build_sdr1(ex_tight)
+    ok = append_row(prog, prog.G_psd[1], prog.G_nonneg[1], prog.G_free[1], prog.rhs[1])
+    bad = append_row(ok, 2.0 * prog.G_psd[2], 2.0 * prog.G_nonneg[2], 2.0 * prog.G_free[2],
+                     2.0 * prog.rhs[2] + 1.0)
+    pre = presolve_rank_check(bad)
+    assert pre.infeasible
+    assert len(pre.dropped_rows) >= 2
+    sol = solve(bad)
+    assert sol.status == STATUS_INFEASIBLE
+    rep = certify(bad, sol, 1e-6)
+    assert rep.ok, rep.failed()
+
+
 def test_presolve_full_rank_untouched(ex_tight):
     prog, _ = build_sdr1(ex_tight)
     pre = presolve_rank_check(prog)
@@ -353,3 +379,84 @@ def test_per_iteration_log_lines(ex_tight, capsys):
     # stable column order: iter, pobj, dobj, gap, pres, dres
     assert lines[0].split()[0] == "iter"
     assert "pobj" in lines[0] and "gap" in lines[0] and "pres" in lines[0]
+
+
+# ------------------------------------------------------------ Schur assembly
+
+def sdr_without_linear_term(kind, n, m, seed):
+    """Standard SDR with c = 0: the free block does not make it unbounded, so
+    it iterates, with sparse unit-diagonal rows and dense a a^T rows."""
+    inst = generate_instance(kind, n, m, seed=seed)
+    return build_sdr(BqpInstance(inst.Q, np.zeros(n), inst.A, inst.b))[0]
+
+
+SCHUR_PROGRAMS = {
+    "mc_sdr": lambda: build_mc_sdr(random_graph(9, seed=2, density=0.5))[0],
+    "mc_dnnp": lambda: build_mc_dnnp(random_graph(7, seed=2, density=0.5))[0],
+    "sdr_c0": lambda: sdr_without_linear_term("RdnBQP", 8, 3, 1),
+    "sdr1": lambda: build_sdr1(generate_instance("RdBQP", 6, 3, seed=1))[0],
+    "sdr2": lambda: build_sdr2(generate_instance("RdBQP", 6, 3, seed=1))[0],
+    "dnnp": lambda: build_dnnp(generate_instance("RdBQP", 6, 3, seed=1))[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHUR_PROGRAMS))
+def test_schur_block_matches_congruence_reference(name):
+    ws = _Workspace(SCHUR_PROGRAMS[name](), SolverSettings())
+    rows = ws.schur
+    if name.startswith("mc_"):
+        assert rows.dense.size == 0
+    else:  # sparse and dense rows both present: the cross block is exercised
+        assert rows.sparse.size and rows.dense.size
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        R = rng.standard_normal((ws.d, ws.d))
+        w2 = rng.uniform(0.1, 2.0, ws.p)
+        M, Vz = rows.scaled(R, w2)
+        V = kernels.scaled_congruence_rows(ws.Gp, R)
+        ref = V @ V.T + (ws.Gn * w2) @ ws.Gn.T
+        assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+        z = rng.standard_normal(V.shape[1])
+        assert np.abs(Vz(z) - V @ z).max() <= 1e-12 * np.abs(V @ z).max()
+
+
+def count_congruence_calls(monkeypatch):
+    calls = []
+    original = kernels.scaled_congruence_rows
+
+    def counted(rows, R):
+        calls.append(rows.shape)
+        return original(rows, R)
+
+    monkeypatch.setattr(kernels, "scaled_congruence_rows", counted)
+    return calls
+
+
+def test_maxcut_sdr_solve_skips_congruence(monkeypatch):
+    calls = count_congruence_calls(monkeypatch)
+    prog, _ = build_mc_sdr(random_graph(12, seed=3, density=0.5))
+    sol = solve(prog)
+    assert sol.status == STATUS_OPTIMAL
+    assert certify(prog, sol, 1e-6).ok
+    assert calls == []
+
+
+def test_face_reduced_solve_keeps_congruence(monkeypatch, ex_tight):
+    calls = count_congruence_calls(monkeypatch)
+    prog, _ = build_sdr1(ex_tight)
+    sol = solve(prog)
+    assert sol.status == STATUS_OPTIMAL
+    # one call maps the rows onto the face, then one per step taken (the
+    # last iterate only passes the termination test)
+    assert len(calls) == sol.iters
+
+
+def test_mixed_sparse_dense_rows_certified():
+    prog = sdr_without_linear_term("RdnBQP", 20, 10, 1)
+    assert prog.psd_kernel is None
+    ws = _Workspace(prog, SolverSettings())
+    assert ws.schur.sparse.size and ws.schur.dense.size
+    sol = solve(prog)
+    assert sol.status == STATUS_OPTIMAL
+    rep = certify(prog, sol, 1e-6)
+    assert rep.ok, rep.failed()
