@@ -15,13 +15,21 @@ construction at every iterate (the naive b^T y / tau is not, for
 infeasible-start embeddings); the final reported dual objective is the
 genuine b^T y / tau, sense/offset adjusted.
 
-Presolve: equality rows are checked for linear dependence (QR, pivot
-threshold 1e-10 * row norm).  Dependent-but-consistent rows are pruned with
-a logged warning and their multipliers reported as zero; an inconsistent
-dependent row short-circuits to Infeasible with an exact Farkas combination.
-A free-block least-squares check detects objective components outside
-range(A_f^T) and short-circuits to Unbounded with an exact improving ray.
-Rows are normalized to unit coefficient norm for conditioning.
+Presolve: equality rows are checked for linear dependence.  A row that is
+the only nonzero of some column (coefficient above 1e-10 * row norm) is
+independent and kept without a rank test; the rule repeats on the rows left,
+and only the rest go through QR (pivot threshold 1e-10 * row norm).
+Dependent-but-consistent rows are pruned with a logged warning and their
+multipliers reported as zero; an inconsistent dependent row short-circuits
+to Infeasible with an exact Farkas combination.  A free-block least-squares
+check detects objective components outside range(A_f^T) and short-circuits
+to Unbounded with an exact improving ray.  Rows are normalized to unit
+coefficient norm for conditioning.
+
+Row storage: the products G x and G^T y in the loop come from
+(row, column, value) index arrays when the normalized rows hold at most
+rows + columns nonzeros (the max-cut programs), and from the dense blocks
+otherwise (face-reduced programs); the choice is made once per solve.
 """
 
 import logging
@@ -122,10 +130,18 @@ def _stack_rows(prog: ConicProgram) -> np.ndarray:
     return np.hstack([prog.G_psd, prog.G_nonneg, prog.G_free])
 
 
+def _coo(G: np.ndarray) -> tuple:
+    """(rows, cols, values) of the nonzeros of G, in row-major order."""
+    r, c = np.nonzero(G)
+    return r, c, G[r, c]
+
+
 def presolve_rank_check(prog: ConicProgram, quiet: bool = False) -> PresolveResult:
     """Prune numerically dependent equality rows; flag inconsistent dependents.
 
-    Dependence test: QR with column pivoting on the stacked row matrix, row k
+    Dependence test: rows that own a column (see ``_private_rows``) are
+    independent of all others and kept outright.  The remaining rows go
+    through QR with column pivoting on the stacked row matrix, row k
     declared dependent when its pivot magnitude falls below
     1e-10 * ||row k||.  A dependent row whose rhs disagrees with the implied
     combination of kept rows by more than 1e-8 (relative) makes the program
@@ -150,28 +166,32 @@ def presolve_rank_check(prog: ConicProgram, quiet: bool = False) -> PresolveResu
                     r, prog.rhs[r])
             return PresolveResult(program=prog, dropped_rows=zero_rows,
                                   infeasible=True, farkas_y=y)
-    live = [i for i in range(rows) if i not in set(zero_rows)]
-    if not live:
+    live = np.flatnonzero(norms > floor)
+    if not live.size:
         pruned = _keep_rows(prog, [])
         return PresolveResult(program=pruned, dropped_rows=zero_rows)
-    Glive = G[live]
-    _, R, piv = scipy.linalg.qr(Glive.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = 0
-    for k in range(min(len(live), R.shape[0])):
-        if diag[k] > RANK_PIVOT_REL * max(norms[live[piv[k]]], floor):
-            rank += 1
-        else:
-            break
-    kept = sorted(live[i] for i in piv[:rank].tolist())
-    dropped = sorted([live[i] for i in piv[rank:].tolist()] + zero_rows)
+    own = _private_rows(G[live], norms[live])
+    kept, rest = live[own].tolist(), live[~own]
+    dependent = []
+    if rest.size:
+        _, R, piv = scipy.linalg.qr(G[rest].T, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(R))
+        rank = 0
+        for k in range(min(rest.size, R.shape[0])):
+            if diag[k] > RANK_PIVOT_REL * max(norms[rest[piv[k]]], floor):
+                rank += 1
+            else:
+                break
+        kept += rest[piv[:rank]].tolist()
+        dependent = sorted(rest[piv[rank:]].tolist())
+    kept.sort()
+    dropped = sorted(dependent + zero_rows)
     if not dropped:
         return PresolveResult(program=prog, dropped_rows=[])
 
     Gk = G[kept]
     bk = prog.rhs[kept]
     # zero rows were consistency-checked above
-    dependent = [r for r in dropped if r not in zero_rows]
     if dependent:
         combos, *_ = np.linalg.lstsq(Gk.T, G[dependent].T, rcond=None)
     for j, r in enumerate(dependent):
@@ -192,6 +212,34 @@ def presolve_rank_check(prog: ConicProgram, quiet: bool = False) -> PresolveResu
     log.log(logging.DEBUG if quiet else logging.WARNING,
             "presolve: dropped %d dependent equality row(s): %s", len(dropped), dropped)
     return PresolveResult(program=_keep_rows(prog, kept), dropped_rows=dropped)
+
+
+def _private_rows(G: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Mask of the rows that own a column: the singleton-column rule of
+    Andersen & Andersen (Presolving in linear programming, 1995), repeated.
+
+    A row that is the only nonzero of some column, with that coefficient
+    above 1e-10 * its norm, lies outside the span of the other rows.  Setting
+    it aside can leave another column with one nonzero among the rows left,
+    whose row is then independent of those rows and, through the columns
+    already owned, of the rows set aside.  Each column's count only falls,
+    so it is examined once after reaching one.
+    """
+    nz = G != 0
+    counts = nz.sum(axis=0)
+    own = np.zeros(G.shape[0], dtype=bool)
+    cols = np.flatnonzero(counts == 1)
+    while cols.size:
+        r = np.argmax(nz[:, cols] & ~own[:, None], axis=0)
+        big = np.abs(G[r, cols]) > RANK_PIVOT_REL * norms[r]
+        new = np.unique(r[big])
+        if not new.size:
+            break
+        own[new] = True
+        removed = nz[new].sum(axis=0)
+        counts -= removed
+        cols = np.flatnonzero((counts == 1) & (removed > 0))
+    return own
 
 
 def _keep_rows(prog: ConicProgram, kept: list) -> ConicProgram:
@@ -299,7 +347,7 @@ class _SchurRows:
     dense rows of a face-reduced program).
     """
 
-    def __init__(self, Gp: np.ndarray, Gn: np.ndarray, d: int, kkt_order: int):
+    def __init__(self, Gp: np.ndarray, Gn: np.ndarray, Gn_coo: tuple, d: int, kkt_order: int):
         self.rows = Gp.shape[0]
         counts = np.count_nonzero(Gp, axis=1)
         order = np.argsort(-counts, kind="stable")
@@ -331,13 +379,12 @@ class _SchurRows:
             self.slots.append(_Slot(np.searchsorted(support, kt), kt, ii[kt], jj[kt], v,
                                     v * scale[kt]))
 
-        col_counts = np.count_nonzero(Gn, axis=0)
+        nr, nc, nv = Gn_coo
+        col_counts = np.bincount(nc, minlength=Gn.shape[1])
         self.Gn_dense_cols = np.flatnonzero(col_counts > 1)
         self.Gn_dense = Gn[:, self.Gn_dense_cols]
-        nr, nc = np.nonzero(Gn[:, col_counts == 1])
-        self.nn_rows = nr
-        self.nn_cols = np.flatnonzero(col_counts == 1)[nc]
-        self.nn_vals = Gn[nr, self.nn_cols]
+        single = col_counts[nc] == 1
+        self.nn_rows, self.nn_cols, self.nn_vals = nr[single], nc[single], nv[single]
 
     def _sparse_block(self, W: np.ndarray) -> np.ndarray:
         """Sparse x sparse part of V V^T from W = R R^T, rows in slot order."""
@@ -431,7 +478,15 @@ class _Workspace:
             0.0,
         )
         self.bnorm = np.abs(self.b).max() if self.rows else 0.0
-        self.schur = _SchurRows(self.Gp, self.Gn, self.d, self.rows + self.f)
+        # G x and G^T y: from (row, col, value) triples when the rows hold no
+        # more nonzeros than rows + columns (the max-cut programs, with one to
+        # three per row), else the dense blocks (face-reduced programs)
+        Gn_coo = _coo(self.Gn)
+        cols = self.Gp.shape[1] + self.p + self.f
+        nnz = np.count_nonzero(self.Gp) + Gn_coo[0].size + np.count_nonzero(self.Gf)
+        self.coo = ((_coo(self.Gp), Gn_coo, _coo(self.Gf))
+                    if nnz <= self.rows + cols else None)
+        self.schur = _SchurRows(self.Gp, self.Gn, Gn_coo, self.d, self.rows + self.f)
 
         self.x_psd = svec(np.eye(self.d)) if self.d else np.zeros(0)
         self.x_nn = np.ones(self.p)
@@ -459,13 +514,41 @@ class _Workspace:
             (self.x_psd, self.x_nn, self.x_f, self.y,
              self.s_psd, self.s_nn, self.tau, self.kappa) = self._best
 
+    # -- products with the normalized rows -----------------------------
+
+    def matvec(self, nn, psd=None, free=None) -> np.ndarray:
+        """G x for the orthant block nn of x and, when given, its PSD and
+        free blocks (a block left out counts as zero)."""
+        if self.coo is None:
+            out = self.Gn @ nn
+            if psd is not None:
+                out = self.Gp @ psd + out
+            if free is not None:
+                out = out + self.Gf @ free
+            return out
+        out = 0.0
+        for (r, c, v), x in zip(self.coo, (psd, nn, free)):
+            if x is not None:
+                out = out + np.bincount(r, v * x[c], self.rows)
+        return out
+
+    def rmatvec(self, y: np.ndarray, free: bool = True):
+        """(Gp^T y, Gn^T y, Gf^T y), the last None unless free is set."""
+        if self.coo is None:
+            return self.Gp.T @ y, self.Gn.T @ y, self.Gf.T @ y if free else None
+        (rp, cp, vp), (rn, cn, vn), (rf, cf, vf) = self.coo
+        return (np.bincount(cp, vp * y[rp], self.Gp.shape[1]),
+                np.bincount(cn, vn * y[rn], self.p),
+                np.bincount(cf, vf * y[rf], self.f) if free else None)
+
     # -- residuals and candidate metrics -------------------------------
 
     def residuals(self):
-        rp = self.Gp @ self.x_psd + self.Gn @ self.x_nn + self.Gf @ self.x_f - self.tau * self.b
-        rd_psd = self.tau * self.c_psd - self.Gp.T @ self.y - self.s_psd
-        rd_nn = self.tau * self.c_nn - self.Gn.T @ self.y - self.s_nn
-        rd_f = self.tau * self.c_f - self.Gf.T @ self.y
+        rp = self.matvec(self.x_nn, self.x_psd, self.x_f) - self.tau * self.b
+        gp, gn, gf = self.rmatvec(self.y)
+        rd_psd = self.tau * self.c_psd - gp - self.s_psd
+        rd_nn = self.tau * self.c_nn - gn - self.s_nn
+        rd_f = self.tau * self.c_f - gf
         cx = float(self.c_psd @ self.x_psd + self.c_nn @ self.x_nn + self.c_f @ self.x_f)
         by = float(self.b @ self.y)
         rg = by - cx - self.kappa
@@ -806,7 +889,7 @@ def _iterate(ws: _Workspace):
             ws.restore_best()
             return STATUS_NUMERICAL_TROUBLE, None
 
-        u = Vz(c_ps) + ws.Gn @ (w2 * ws.c_nn)
+        u = Vz(c_ps) + ws.matvec(w2 * ws.c_nn)
         theta_c = float(c_ps @ c_ps + (w_nn * ws.c_nn) @ (w_nn * ws.c_nn))
         q = np.concatenate([ws.b - u, -ws.c_f])
         z2 = _solve_refined(K, lu, np.concatenate([u + ws.b, -ws.c_f]))
@@ -827,14 +910,14 @@ def _iterate(ws: _Workspace):
                 Hm = Em * lam_outer
                 h = svec(Hm)
                 t2s = svec(R.T @ smat(t2p) @ R)
-                Wt2 = Vz(t2s) + ws.Gn @ (w2 * t2n)
+                Wt2 = Vz(t2s) + ws.matvec(w2 * t2n)
                 cWt2 = float(c_ps @ t2s + (w2 * ws.c_nn) @ t2n)
             else:
                 Hm = np.zeros((0, 0))
                 h = np.zeros(0)
-                Wt2 = ws.Gn @ (w2 * t2n)
+                Wt2 = ws.matvec(w2 * t2n)
                 cWt2 = float((w2 * ws.c_nn) @ t2n)
-            Gh = Vz(h) + ws.Gn @ (En / ws.s_nn)
+            Gh = Vz(h) + ws.matvec(En / ws.s_nn)
             cGh = float(c_ps @ h + ws.c_nn @ (En / ws.s_nn))
             r1 = t1 - Wt2 - Gh
             r2 = t2f
@@ -844,8 +927,9 @@ def _iterate(ws: _Workspace):
             zz = z1 + dtau * z2
             dy = zz[:rows]
             dxf = zz[rows:]
-            arg_psd = ws.Gp.T @ dy - ws.c_psd * dtau + t2p
-            arg_nn = ws.Gn.T @ dy - ws.c_nn * dtau + t2n
+            gp, gn, _ = ws.rmatvec(dy, free=False)
+            arg_psd = gp - ws.c_psd * dtau + t2p
+            arg_nn = gn - ws.c_nn * dtau + t2n
             ds_psd = -arg_psd
             ds_nn = -arg_nn
             if d:
@@ -872,10 +956,11 @@ def _iterate(ws: _Workspace):
             # attainable primal residual near the boundary
             for _ in range(2):
                 dxp, dxn, dxf, dy, dsp, dsn, dtau, dkap = dirn
-                res1 = t1 - (ws.Gp @ dxp + ws.Gn @ dxn + ws.Gf @ dxf - dtau * ws.b)
-                res2p = t2p - (-(ws.Gp.T @ dy) + ws.c_psd * dtau - dsp)
-                res2n = t2n - (-(ws.Gn.T @ dy) + ws.c_nn * dtau - dsn)
-                res2f = t2f - (-(ws.Gf.T @ dy) + ws.c_f * dtau)
+                res1 = t1 - (ws.matvec(dxn, dxp, dxf) - dtau * ws.b)
+                gp, gn, gf = ws.rmatvec(dy)
+                res2p = t2p - (-gp + ws.c_psd * dtau - dsp)
+                res2n = t2n - (-gn + ws.c_nn * dtau - dsn)
+                res2f = t2f - (-gf + ws.c_f * dtau)
                 cdx = float(ws.c_psd @ dxp + ws.c_nn @ dxn + ws.c_f @ dxf)
                 res3 = t3 - (float(ws.b @ dy) - cdx - dkap)
                 corr = newton(res1, res2p, res2n, res2f, res3,
@@ -955,7 +1040,7 @@ def _certificate_scan(ws: _Workspace, cx: float, by: float):
     st = ws.settings
     if cx < 0:
         scale = -cx
-        Gx = ws.Gp @ ws.x_psd + ws.Gn @ ws.x_nn + ws.Gf @ ws.x_f
+        Gx = ws.matvec(ws.x_nn, ws.x_psd, ws.x_f)
         ray_norm = _inf_norm(ws.x_psd, ws.x_nn, ws.x_f) / scale
         if _inf_norm(Gx) / scale <= st.tol_infeas * (1.0 + ray_norm):
             ray = RayCertificate(
@@ -970,9 +1055,7 @@ def _certificate_scan(ws: _Workspace, cx: float, by: float):
         # ||y|| certificate with relatively-tiny but absolutely-significant
         # violations proves nothing (rows are unit-normalized internally)
         yr = ws.y / by
-        sp = -(ws.Gp.T @ yr)
-        sn = -(ws.Gn.T @ yr)
-        sf = -(ws.Gf.T @ yr)
+        sp, sn, sf = (-g for g in ws.rmatvec(yr))
         ok = _inf_norm(sf) <= st.tol_infeas
         if ok and ws.p:
             ok = sn.min() >= -st.tol_infeas
@@ -1000,7 +1083,8 @@ def _assemble(orig: ConicProgram, work: ConicProgram, pre: PresolveResult,
     snn = ws.s_nn / tau
 
     # dual multipliers back in original row space (undo normalization, reinsert pruned rows)
-    kept = [i for i in range(orig.n_rows) if i not in set(pre.dropped_rows)]
+    dropped = set(pre.dropped_rows)
+    kept = [i for i in range(orig.n_rows) if i not in dropped]
     y_model = np.zeros(orig.n_rows)
     y_model[kept] = (ws.y / tau) / ws.row_scale
     sgn = ws.sense_sign

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from bqrelax import kernels
+from bqrelax import kernels, solver
 from bqrelax.model import BqpInstance, MaxCutGraph, generate_instance, random_graph
 from bqrelax.relax import (
     ConicProgram,
@@ -15,6 +16,7 @@ from bqrelax.relax import (
     build_sdr2,
 )
 from bqrelax.solver import (
+    RANK_PIVOT_REL,
     STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
@@ -460,3 +462,179 @@ def test_mixed_sparse_dense_rows_certified():
     assert sol.status == STATUS_OPTIMAL
     rep = certify(prog, sol, 1e-6)
     assert rep.ok, rep.failed()
+
+
+# ------------------------------------------------------------ sparse rows
+
+def full_qr_dropped(prog):
+    """Reference for presolve: one pivoted QR over every nonzero row, as
+    before rows owning a column were set aside; returns the dropped rows."""
+    G = np.hstack([prog.G_psd, prog.G_nonneg, prog.G_free])
+    norms = np.linalg.norm(G, axis=1)
+    floor = 1e-12 * max(1.0, norms.max())
+    live = [i for i in range(prog.n_rows) if norms[i] > floor]
+    _, R, piv = scipy.linalg.qr(G[live].T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = 0
+    while rank < min(len(live), R.shape[0]) and \
+            diag[rank] > RANK_PIVOT_REL * max(norms[live[piv[rank]]], floor):
+        rank += 1
+    zero = [i for i in range(prog.n_rows) if norms[i] <= floor]
+    return sorted([live[i] for i in piv[rank:]] + zero)
+
+
+def face_reduced(prog):
+    """The program presolve receives inside solve(): the face-reduced one
+    when the builder supplies a face."""
+    seen = []
+    real = solver.presolve_rank_check
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "presolve_rank_check",
+                   lambda p, quiet=False: seen.append(p) or real(p, quiet))
+        solve(prog, SolverSettings(max_iters=1))
+    return seen[0]
+
+
+def desk(builder):
+    return lambda: builder(generate_instance("RdBQP", 12, 5, seed=1))[0]
+
+
+ROW_PROGRAMS = {
+    "mc_sdr": lambda: build_mc_sdr(random_graph(20, seed=1, density=0.5))[0],
+    "mc_dnnp": lambda: build_mc_dnnp(random_graph(10, seed=1, density=0.5))[0],
+    "sdr": desk(build_sdr),
+    "sdr1": desk(build_sdr1),
+    "sdr2": desk(build_sdr2),
+    "dnnp": desk(build_dnnp),
+}
+FACE_PROGRAMS = {
+    f"{name}-face": (lambda name=name: face_reduced(ROW_PROGRAMS[name]()))
+    for name in ("sdr1", "sdr2", "dnnp")
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_PROGRAMS) + sorted(FACE_PROGRAMS))
+def test_presolve_matches_full_qr(name):
+    prog = {**ROW_PROGRAMS, **FACE_PROGRAMS}[name]()
+    pre = presolve_rank_check(prog, quiet=True)
+    assert not pre.infeasible
+    assert pre.dropped_rows == full_qr_dropped(prog)
+    assert pre.program.n_rows == prog.n_rows - len(pre.dropped_rows)
+    if name.endswith("-face"):  # the face makes the linear/quadratic rows dependent
+        assert pre.dropped_rows
+
+
+def test_presolve_duplicated_slack_free_rows_match_full_qr():
+    prog = ROW_PROGRAMS["sdr2"]()
+    diag = [r for r in range(prog.n_rows) if not prog.G_nonneg[r].any()][-3:]
+    for r in diag:  # consistent copies, scaled by 2
+        prog = append_row(prog, 2.0 * prog.G_psd[r], 2.0 * prog.G_nonneg[r],
+                          2.0 * prog.G_free[r], 2.0 * prog.rhs[r])
+    pre = presolve_rank_check(prog, quiet=True)
+    assert not pre.infeasible
+    assert len(pre.dropped_rows) == 3
+    assert pre.dropped_rows == full_qr_dropped(prog)
+
+    r = diag[0]
+    bad = append_row(prog, prog.G_psd[r], prog.G_nonneg[r], prog.G_free[r], prog.rhs[r] + 1.0)
+    pre = presolve_rank_check(bad, quiet=True)
+    assert pre.infeasible
+    assert pre.dropped_rows == full_qr_dropped(bad)
+    sol = solve(bad)
+    assert sol.status == STATUS_INFEASIBLE
+    rep = certify(bad, sol, 1e-6)
+    assert rep.ok, rep.failed()
+
+
+def count_qr_calls(monkeypatch):
+    shapes = []
+    original = scipy.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("coeff, qr_shapes, dropped", [(1e-12, [(3, 2)], [1]), (1e-6, [], [])])
+def test_presolve_private_coefficient_threshold(monkeypatch, coeff, qr_shapes, dropped):
+    # column 2 belongs to row 0 alone.  Below 1e-10 * its norm it does not
+    # count, so both rows go through the QR, which finds them dependent.
+    # Above, row 0 is set aside, and row 1 then owns columns 0 and 1.
+    prog = lp([1.0, 1.0, 1.0], [[1.0, 1.0, coeff], [1.0, 1.0, 0.0]], [1.0, 1.0])
+    shapes = count_qr_calls(monkeypatch)
+    pre = presolve_rank_check(prog, quiet=True)
+    assert shapes == qr_shapes
+    assert pre.dropped_rows == dropped
+    assert pre.dropped_rows == full_qr_dropped(prog)
+
+
+@pytest.mark.parametrize("name, calls", [("mc_sdr", 0), ("mc_dnnp", 0), ("sdr1", 1)])
+def test_presolve_qr_calls(monkeypatch, name, calls):
+    prog = ROW_PROGRAMS[name]()
+    shapes = count_qr_calls(monkeypatch)
+    sol = solve(prog)
+    assert sol.status == STATUS_OPTIMAL
+    assert certify(prog, sol, 1e-6).ok
+    assert len(shapes) == calls
+
+
+def blocks_program():
+    """d = 2, p = 2, f = 2 with an all-zero row, rows of one, two and three
+    nonzeros, and an unused orthant and free column."""
+    G_psd = np.array([[1.0, 0, 0], [0, 0, 0], [0, 2.0, 0], [0, 0, 0], [0.5, 0, -1.0]])
+    G_nn = np.array([[0.0, 0], [0, 0], [-1.0, 0], [0, 0], [0, 0]])
+    G_free = np.array([[0.0, 0], [0, 0], [0, 0], [3.0, 0], [1.0, 0]])
+    return ConicProgram(
+        sense="min", psd_order=2, nonneg_count=2, free_count=2,
+        obj_psd=np.zeros(3), obj_nonneg=np.zeros(2), obj_free=np.zeros(2), offset=0.0,
+        G_psd=G_psd, G_nonneg=G_nn, G_free=G_free, rhs=np.ones(5), label="blocks")
+
+
+def no_rows_program():
+    return ConicProgram(
+        sense="min", psd_order=2, nonneg_count=1, free_count=0,
+        obj_psd=np.ones(3), obj_nonneg=np.ones(1), obj_free=np.zeros(0), offset=0.0,
+        G_psd=np.zeros((0, 3)), G_nonneg=np.zeros((0, 1)), G_free=np.zeros((0, 0)),
+        rhs=np.zeros(0), label="no-rows")
+
+
+MATVEC_PROGRAMS = {
+    "mc_sdr": ROW_PROGRAMS["mc_sdr"],
+    "mc_dnnp": ROW_PROGRAMS["mc_dnnp"],
+    "blocks": blocks_program,
+    "lp_only": lambda: lp([1.0, 1.0, 1.0], [[1.0, 0.0, 0.0], [0.0, -1.0, 2.0]], [1.0, 2.0]),
+    "no_rows": no_rows_program,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATVEC_PROGRAMS))
+def test_index_matvecs_match_dense(name):
+    ws = _Workspace(MATVEC_PROGRAMS[name](), SolverSettings())
+    assert ws.coo is not None
+    blocks = (ws.Gp, ws.Gn, ws.Gf)
+    rng = np.random.default_rng(3)
+    xs = [rng.standard_normal(G.shape[1]) for G in blocks]
+    y = rng.standard_normal(ws.rows)
+
+    def check(got, G, v):
+        ref = G @ v
+        scale = np.abs(G) @ np.abs(v)
+        one = np.count_nonzero(G, axis=1) <= 1
+        assert got.shape == ref.shape
+        assert np.array_equal(got[one], ref[one])
+        assert np.all(np.abs(got - ref)[~one] <= 1e-15 * scale[~one])
+
+    check(ws.matvec(xs[1], xs[0], xs[2]), np.hstack(blocks), np.concatenate(xs))
+    check(ws.matvec(xs[1]), ws.Gn, xs[1])
+    for G, g in zip(blocks, ws.rmatvec(y)):
+        check(g, G.T, y)
+
+
+@pytest.mark.parametrize("name", sorted(FACE_PROGRAMS) + ["mc_dnnp", "mc_sdr"])
+def test_row_storage_choice(name):
+    prog = {**ROW_PROGRAMS, **FACE_PROGRAMS}[name]()
+    ws = _Workspace(presolve_rank_check(prog, quiet=True).program, SolverSettings())
+    assert (ws.coo is not None) == name.startswith("mc_")
