@@ -77,6 +77,7 @@ def _solve_report(prog, settings):
         "bound": None if not np.isfinite(sol.primal_obj) else sol.primal_obj,
         "iters": sol.iters,
         "time": sol.solve_time,
+        "stats": sol.stats,
     }
     if sol.status in (solver.STATUS_UNBOUNDED, solver.STATUS_INFEASIBLE) and sol.ray is not None:
         cert = solver.certify(prog, sol, 1e-6)

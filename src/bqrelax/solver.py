@@ -30,6 +30,13 @@ Row storage: the products G x and G^T y in the loop come from
 (row, column, value) index arrays when the normalized rows hold at most
 rows + columns nonzeros (the max-cut programs), and from the dense blocks
 otherwise (face-reduced programs); the choice is made once per solve.
+
+Linear algebra per iteration: one LU factorization of the KKT matrix, 21
+refined back-solves with it, and the step-length search on the Cholesky
+factors of X and S that the NT scaling computed.  The back-solves call LAPACK
+getrs/trtrs directly, as scipy.linalg.lu_solve/solve_triangular would, so
+results are the same bit for bit without the wrappers' per-call checks.
+ConicSolution.stats counts the factorizations and both kinds of solves.
 """
 
 import logging
@@ -57,6 +64,11 @@ RANK_RHS_MISMATCH = 1e-8
 FREE_DUAL_RESIDUAL_REL = 1e-7
 FRACTION_TO_BOUNDARY = 0.99
 KKT_REGULARIZATION = 1e-12
+
+# LAPACK back-solves, fetched once: at the orders of the face-reduced
+# programs (8-13) the argument checks of scipy.linalg.lu_solve and
+# solve_triangular cost many times the solve itself
+_GETRS, _TRTRS = scipy.linalg.get_lapack_funcs(("getrs", "trtrs"), (np.zeros((1, 1)),))
 
 
 @dataclass
@@ -99,6 +111,11 @@ class RayCertificate:
     slack_nonneg: np.ndarray | None = None
 
 
+# counts kept in ConicSolution.stats: LU factorizations of the KKT matrix,
+# back-solves with those factors, and triangular solves of the PSD step length
+SOLVE_COUNTS = ("kkt_factorizations", "kkt_solves", "psd_step_solves")
+
+
 @dataclass
 class ConicSolution:
     status: str
@@ -116,6 +133,7 @@ class ConicSolution:
     history: list = field(default_factory=list)
     dropped_rows: list = field(default_factory=list)
     solve_time: float = 0.0
+    stats: dict = field(default_factory=lambda: dict.fromkeys(SOLVE_COUNTS, 0))
 
 
 @dataclass
@@ -262,8 +280,9 @@ def _keep_rows(prog: ConicProgram, kept: list) -> ConicProgram:
 
 
 def _nt_scaling(X: np.ndarray, S: np.ndarray):
-    """Nesterov-Todd scaling point: returns (R, R^{-T}, lam) with
-    R^{-1} X R^{-T} = R^T S R = diag(lam)."""
+    """Nesterov-Todd scaling point: returns (R, R^{-T}, lam, Lx, Ls) with
+    R^{-1} X R^{-T} = R^T S R = diag(lam) and the Cholesky factors
+    X = Lx Lx^T, S = Ls Ls^T it is built from."""
     Lx = _chol_with_repair(X)
     Ls = _chol_with_repair(S)
     U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
@@ -271,7 +290,7 @@ def _nt_scaling(X: np.ndarray, S: np.ndarray):
     inv_sqrt = 1.0 / np.sqrt(sig)
     R = Lx @ Vt.T * inv_sqrt
     RinvT = Ls @ U * inv_sqrt
-    return R, RinvT, sig
+    return R, RinvT, sig, Lx, Ls
 
 
 def _chol_with_repair(M: np.ndarray) -> np.ndarray:
@@ -285,13 +304,23 @@ def _chol_with_repair(M: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky((V * w) @ V.T + floor * np.eye(M.shape[0]))
 
 
-def _max_step_psd(x_svec: np.ndarray, dx_svec: np.ndarray) -> float:
-    """Largest alpha with X + alpha dX >= 0 (Cholesky-transformed eigen bound)."""
-    X = smat(x_svec)
+def _lower_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^{-1} B for a C-ordered lower-triangular L, by LAPACK trtrs on the
+    Fortran-ordered L^T, as scipy.linalg.solve_triangular(L, B, lower=True)
+    calls it.  No finiteness check: see _max_step_psd."""
+    T, info = _TRTRS(L.T, B, lower=0, trans=1)
+    if info:
+        raise scipy.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return T
+
+
+def _max_step_psd(L: np.ndarray, dx_svec: np.ndarray) -> float:
+    """Largest alpha with X + alpha dX >= 0 for X = L L^T (Cholesky-transformed
+    eigen bound).  L is the iterate's factor from _nt_scaling; dx_svec is
+    finite because non-finite directions are rejected before the step."""
     dX = smat(dx_svec)
-    L = _chol_with_repair(X)
-    T = scipy.linalg.solve_triangular(L, dX, lower=True)
-    T = scipy.linalg.solve_triangular(L, T.T, lower=True)
+    T = _lower_solve(L, dX)
+    T = _lower_solve(L, T.T)
     lam_min = np.linalg.eigvalsh(0.5 * (T + T.T))[0]
     return np.inf if lam_min >= 0 else 1.0 / (-lam_min)
 
@@ -497,6 +526,7 @@ class _Workspace:
         self.tau = 1.0
         self.kappa = 1.0
         self.history = []
+        self.stats = dict.fromkeys(SOLVE_COUNTS, 0)
         self._best = None
         self._best_metric = np.inf
 
@@ -566,15 +596,27 @@ def _inf_norm(*arrays):
     return max(vals) if vals else 0.0
 
 
-def _solve_refined(K: np.ndarray, lu, rhs: np.ndarray, rounds: int = 2) -> np.ndarray:
+def _lu_solve(lu, b: np.ndarray, stats: dict) -> np.ndarray:
+    """scipy.linalg.lu_solve(lu, b) for a finite b, by LAPACK getrs."""
+    stats["kkt_solves"] += 1
+    if not b.size:
+        return np.empty_like(b)
+    x, _ = _GETRS(*lu, b)
+    return x
+
+
+def _solve_refined(K: np.ndarray, lu, rhs: np.ndarray, stats: dict, rounds: int = 2) -> np.ndarray:
     """LU solve with iterative refinement; keeps direction accuracy near the
-    boundary where the scaled KKT matrix is severely ill-conditioned."""
-    z = scipy.linalg.lu_solve(lu, rhs)
+    boundary where the scaled KKT matrix is severely ill-conditioned.  A
+    non-finite rhs raises ValueError, as scipy.linalg.lu_solve does."""
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("array must not contain infs or NaNs")
+    z = _lu_solve(lu, rhs, stats)
     for _ in range(rounds):
         err = rhs - K @ z
         if not np.all(np.isfinite(err)):
             break
-        z = z + scipy.linalg.lu_solve(lu, err)
+        z = z + _lu_solve(lu, err, stats)
     return z
 
 
@@ -732,6 +774,7 @@ def _solve_facial(prog: ConicProgram, settings: SolverSettings) -> ConicSolution
         ray=ray_cert,
         history=inner.history,
         dropped_rows=inner.dropped_rows,
+        stats=inner.stats,
     )
     return sol
 
@@ -866,10 +909,10 @@ def _iterate(ws: _Workspace):
         if d:
             X = smat(ws.x_psd)
             S = smat(ws.s_psd)
-            R, RinvT, lam = _nt_scaling(X, S)
+            R, RinvT, lam, Lx, Ls = _nt_scaling(X, S)
             c_ps = svec(R.T @ smat(ws.c_psd) @ R)
         else:
-            R = RinvT = np.zeros((0, 0))
+            R = RinvT = Lx = Ls = np.zeros((0, 0))
             lam = np.zeros(0)
             c_ps = np.zeros(0)
         w_nn = np.sqrt(ws.x_nn / ws.s_nn)
@@ -883,6 +926,7 @@ def _iterate(ws: _Workspace):
         reg = KKT_REGULARIZATION * max(1.0, np.abs(M).max() if rows else 1.0)
         K[np.arange(rows), np.arange(rows)] += reg
         K[np.arange(rows, rows + f), np.arange(rows, rows + f)] += reg
+        ws.stats["kkt_factorizations"] += 1
         try:
             lu = scipy.linalg.lu_factor(K)
         except (scipy.linalg.LinAlgError, ValueError):
@@ -892,7 +936,7 @@ def _iterate(ws: _Workspace):
         u = Vz(c_ps) + ws.matvec(w2 * ws.c_nn)
         theta_c = float(c_ps @ c_ps + (w_nn * ws.c_nn) @ (w_nn * ws.c_nn))
         q = np.concatenate([ws.b - u, -ws.c_f])
-        z2 = _solve_refined(K, lu, np.concatenate([u + ws.b, -ws.c_f]))
+        z2 = _solve_refined(K, lu, np.concatenate([u + ws.b, -ws.c_f]), ws.stats)
         denom = theta_c + kappa / tau + float(q @ z2)
         if not np.isfinite(denom) or denom <= 0:
             ws.restore_best()
@@ -922,7 +966,7 @@ def _iterate(ws: _Workspace):
             r1 = t1 - Wt2 - Gh
             r2 = t2f
             r3 = t3 + Et / tau + cGh + cWt2
-            z1 = _solve_refined(K, lu, np.concatenate([r1, r2]))
+            z1 = _solve_refined(K, lu, np.concatenate([r1, r2]), ws.stats)
             dtau = (r3 - float(q @ z1)) / denom
             zz = z1 + dtau * z2
             dy = zz[:rows]
@@ -974,8 +1018,10 @@ def _iterate(ws: _Workspace):
                 _max_step_scalar(kappa, dkappa),
             )
             if d:
-                alpha = min(alpha, _max_step_psd(ws.x_psd, dx_psd))
-                alpha = min(alpha, _max_step_psd(ws.s_psd, ds_psd))
+                # the factors of this iterate's X and S, from the NT scaling
+                alpha = min(alpha, _max_step_psd(Lx, dx_psd))
+                alpha = min(alpha, _max_step_psd(Ls, ds_psd))
+                ws.stats["psd_step_solves"] += 4
             if p:
                 alpha = min(alpha, _max_step_vec(ws.x_nn, dx_nn))
                 alpha = min(alpha, _max_step_vec(ws.s_nn, ds_nn))
@@ -1135,6 +1181,7 @@ def _assemble(orig: ConicProgram, work: ConicProgram, pre: PresolveResult,
         ray=ray_cert,
         history=ws.history,
         dropped_rows=pre.dropped_rows,
+        stats=ws.stats,
     )
 
 

@@ -42,6 +42,27 @@ def svec_index(d: int):
     return ii, jj, scale
 
 
+@functools.lru_cache(maxsize=64)
+def _svec_flat(d: int):
+    """(lo, up, scale): flat positions in a C-ordered d x d matrix of entry k
+    of svec (lower triangle) and of its mirror (upper triangle)."""
+    ii, jj, scale = svec_index(d)
+    lo, up = ii * d + jj, jj * d + ii
+    for a in (lo, up):
+        a.setflags(write=False)
+    return lo, up, scale
+
+
+@functools.lru_cache(maxsize=64)
+def _smat_order(ln: int) -> int:
+    """Order d with d(d+1)/2 == ln; a length that is not triangular raises
+    (and, raising, is never cached)."""
+    d = int(round((np.sqrt(8 * ln + 1) - 1) / 2))
+    if svec_len(d) != ln:
+        raise DimensionError(f"length {ln} is not d(d+1)/2 for any integer d")
+    return d
+
+
 def check_symmetric(M: np.ndarray, tol: float = 0.0) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -54,8 +75,11 @@ def check_symmetric(M: np.ndarray, tol: float = 0.0) -> np.ndarray:
 def svec(M: np.ndarray) -> np.ndarray:
     """Symmetric matrix -> packed vector of length d(d+1)/2."""
     M = np.asarray(M, dtype=float)
-    ii, jj, scale = svec_index(M.shape[0])
-    return M[ii, jj] * scale
+    d = M.shape[0]
+    if M.shape != (d, d):
+        raise DimensionError(f"expected a square matrix, got shape {M.shape}")
+    lo, _, scale = _svec_flat(d)
+    return M.ravel().take(lo) * scale
 
 
 def smat(v: np.ndarray) -> np.ndarray:
@@ -65,16 +89,11 @@ def smat(v: np.ndarray) -> np.ndarray:
     sqrt(2) scaling twice and can move by one ulp.
     """
     v = np.asarray(v, dtype=float)
-    ln = v.shape[0]
-    d = int(round((np.sqrt(8 * ln + 1) - 1) / 2))
-    if svec_len(d) != ln:
-        raise DimensionError(f"length {ln} is not d(d+1)/2 for any integer d")
-    ii, jj, scale = svec_index(d)
-    M = np.zeros((d, d))
-    vals = v / scale
-    M[ii, jj] = vals
-    M[jj, ii] = vals
-    return M
+    d = _smat_order(v.shape[0])
+    lo, up, scale = _svec_flat(d)
+    M = np.zeros(d * d)
+    M[lo] = M[up] = v / scale
+    return M.reshape(d, d)
 
 
 def eigvals_sym(M: np.ndarray) -> np.ndarray:

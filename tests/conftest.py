@@ -2,16 +2,9 @@ import logging
 
 import pytest
 
-from bqrelax import kernels
 from bqrelax.fixtures import gap_n5, tight_n2, triangle
 
 logging.getLogger("bqrelax").setLevel(logging.ERROR)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # trigger numba JIT once so timed tests measure the algorithms, not compilation
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -50,6 +50,16 @@ def test_solve_tight_sdr1(capsys):
     assert rep["bound"] == pytest.approx(-28.0, abs=1e-5)
 
 
+def test_solve_report_has_solve_counts(capsys):
+    _, stdout, _ = run(capsys, "solve", TIGHT, "--relax", "sdr1")
+    rep = json.loads(stdout)
+    stats = rep["stats"]
+    assert set(stats) == {"kkt_factorizations", "kkt_solves", "psd_step_solves"}
+    assert stats["kkt_factorizations"] == rep["iters"] - 1
+    _, stdout, _ = run(capsys, "solve", TIGHT, "--relax", "sdr")
+    assert set(json.loads(stdout)["stats"].values()) == {0}
+
+
 def test_solve_tight_sdr_unbounded_exit_3(capsys):
     code, stdout, _ = run(capsys, "solve", TIGHT, "--relax", "sdr")
     assert code == 3

@@ -2,21 +2,7 @@ import numpy as np
 import pytest
 
 from bqrelax import kernels
-from bqrelax.model import generate_instance
 from bqrelax.symcone import smat, svec
-
-try:
-    import numba  # noqa: F401
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
-
-def test_active_backend_valid():
-    assert kernels.active_backend() in ("numpy", "numba")
-
 
 def test_code_to_signs_convention():
     # bit i of the code is coordinate i; set bit = +1
@@ -38,7 +24,7 @@ def test_congruence_numpy_matches_direct():
     for d in (1, 3, 7):
         rows = _random_rows(rng, 5, d)
         R = rng.standard_normal((d, d))
-        out = kernels.scaled_congruence_rows_numpy(rows, R)
+        out = kernels.scaled_congruence_rows(rows, R)
         for i in range(5):
             np.testing.assert_allclose(out[i], svec(R.T @ smat(rows[i]) @ R), atol=1e-12)
 
@@ -48,21 +34,10 @@ def test_congruence_rectangular():
     d, d2 = 6, 4
     rows = _random_rows(rng, 4, d)
     R = rng.standard_normal((d, d2))
-    out = kernels.scaled_congruence_rows_numpy(rows, R)
+    out = kernels.scaled_congruence_rows(rows, R)
     assert out.shape == (4, d2 * (d2 + 1) // 2)
     for i in range(4):
         np.testing.assert_allclose(out[i], svec(R.T @ smat(rows[i]) @ R), atol=1e-12)
-
-
-@needs_numba
-def test_congruence_backends_agree():
-    rng = np.random.default_rng(2)
-    for d, d2 in ((4, 4), (6, 3), (2, 2)):
-        rows = _random_rows(rng, 8, d)
-        R = rng.standard_normal((d, d2))
-        a = kernels.scaled_congruence_rows_numpy(rows, R)
-        b = kernels.scaled_congruence_rows_numba(rows, R)
-        np.testing.assert_allclose(a, b, atol=1e-13)
 
 
 def test_bqp_enumerate_numpy_matches_direct():
@@ -73,7 +48,7 @@ def test_bqp_enumerate_numpy_matches_direct():
     b = A @ xhat
     Q = rng.standard_normal((n, n)); Q = Q + Q.T
     c = rng.standard_normal(n)
-    found, val, code = kernels.bqp_enumerate_numpy(Q, c, A, b)
+    found, val, code = kernels.bqp_enumerate(Q, c, A, b)
     assert found
     # independent direct scan
     best = None
@@ -86,26 +61,6 @@ def test_bqp_enumerate_numpy_matches_direct():
     assert best is not None
     assert val == pytest.approx(best[0], abs=1e-10)
     assert code == best[1]
-
-
-@needs_numba
-def test_bqp_enumerate_backends_agree_integer_data():
-    # integer data: float arithmetic is exact, so results must be identical
-    for seed in range(5):
-        inst = generate_instance("RdiBQP", 10, 2, seed=seed)
-        ra = kernels.bqp_enumerate_numpy(inst.Q, inst.c, inst.A, inst.b)
-        rb = kernels.bqp_enumerate_numba(inst.Q, inst.c, inst.A, inst.b)
-        assert ra == rb
-
-
-@needs_numba
-def test_bqp_enumerate_backends_agree_float_data():
-    for seed in range(5):
-        inst = generate_instance("RdnBQP", 9, 2, seed=seed)
-        fa, va, ca = kernels.bqp_enumerate_numpy(inst.Q, inst.c, inst.A, inst.b)
-        fb, vb, cb = kernels.bqp_enumerate_numba(inst.Q, inst.c, inst.A, inst.b)
-        assert fa == fb
-        assert va == pytest.approx(vb, abs=1e-9)
 
 
 def test_bqp_enumerate_infeasible():

@@ -15,6 +15,7 @@ from bqrelax.relax import (
     build_sdr1,
     build_sdr2,
 )
+from bqrelax.symcone import smat, svec
 from bqrelax.solver import (
     RANK_PIVOT_REL,
     STATUS_INFEASIBLE,
@@ -638,3 +639,99 @@ def test_row_storage_choice(name):
     prog = {**ROW_PROGRAMS, **FACE_PROGRAMS}[name]()
     ws = _Workspace(presolve_rank_check(prog, quiet=True).program, SolverSettings())
     assert (ws.coo is not None) == name.startswith("mc_")
+
+
+# ------------------------------------------------------------ LAPACK back-solves
+
+def solve_refined_scipy(K, lu, rhs, rounds=2):
+    """Refined LU solve through scipy.linalg.lu_solve: the reference."""
+    z = scipy.linalg.lu_solve(lu, rhs)
+    for _ in range(rounds):
+        err = rhs - K @ z
+        if not np.all(np.isfinite(err)):
+            break
+        z = z + scipy.linalg.lu_solve(lu, err)
+    return z
+
+
+def max_step_psd_recomputed(x_svec, dx_svec):
+    """Step bound that refactors X and solves through scipy: the reference."""
+    L = solver._chol_with_repair(smat(x_svec))
+    T = scipy.linalg.solve_triangular(L, smat(dx_svec), lower=True)
+    T = scipy.linalg.solve_triangular(L, T.T, lower=True)
+    lam_min = np.linalg.eigvalsh(0.5 * (T + T.T))[0]
+    return np.inf if lam_min >= 0 else 1.0 / (-lam_min)
+
+
+def zero_stats():
+    return dict.fromkeys(solver.SOLVE_COUNTS, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 13, 60])
+def test_solve_refined_matches_scipy_lu_solve(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        K = rng.standard_normal((n, n)) + n * np.eye(n)
+        lu = scipy.linalg.lu_factor(K)
+        rhs = rng.standard_normal(n)
+        stats = zero_stats()
+        got = solver._solve_refined(K, lu, rhs, stats)
+        assert got.shape == rhs.shape
+        np.testing.assert_array_equal(got, solve_refined_scipy(K, lu, rhs))
+        assert stats == {**zero_stats(), "kkt_solves": 3}
+
+
+def test_solve_refined_nan_rhs_raises():
+    K = np.eye(3) + 0.1
+    lu = scipy.linalg.lu_factor(K)
+    with pytest.raises(ValueError):
+        scipy.linalg.lu_solve(lu, np.array([1.0, np.nan, 0.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            solver._solve_refined(K, lu, np.array([1.0, bad, 0.0]), zero_stats())
+
+
+def random_psd_svec(rng, d, rank=None):
+    A = rng.standard_normal((d, d if rank is None else rank))
+    return svec(A @ A.T + (1e-3 * np.eye(d) if rank is None else 0.0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 13, 40])
+def test_max_step_psd_reuses_the_nt_factor(d):
+    rng = np.random.default_rng(d)
+    for rank in (None, max(d - 2, 0)):  # the second is singular: the repair path
+        x, s = random_psd_svec(rng, d, rank), random_psd_svec(rng, d)
+        _, _, _, Lx, Ls = solver._nt_scaling(smat(x), smat(s))
+        np.testing.assert_array_equal(Lx, solver._chol_with_repair(smat(x)))
+        np.testing.assert_array_equal(Ls, solver._chol_with_repair(smat(s)))
+        for L, v in ((Lx, x), (Ls, s)):
+            for _ in range(3):
+                dx = rng.standard_normal(v.size)
+                assert solver._max_step_psd(L, dx) == max_step_psd_recomputed(v, dx)
+            dx = random_psd_svec(rng, d)  # an ascent direction
+            assert solver._max_step_psd(L, dx) == max_step_psd_recomputed(v, dx)
+    assert solver._max_step_psd(Ls, s) == np.inf
+
+
+def test_solve_counts_on_a_face_reduced_solve():
+    prog, _ = build_sdr1(generate_instance("RdBQP", 12, 5, seed=1))
+    assert prog.psd_kernel is not None and prog.psd_kernel.size
+    sol = solve(prog)
+    assert sol.status == STATUS_OPTIMAL
+    factorizations = sol.stats["kkt_factorizations"]
+    assert factorizations == sol.iters - 1
+    # three refined solves for the tau column, nine per direction, two directions
+    assert sol.stats["kkt_solves"] == 21 * factorizations
+    # two triangular solves per cone, two cones, two step-length searches
+    assert sol.stats["psd_step_solves"] == 8 * factorizations
+
+
+def test_solve_counts_on_a_direct_solve_and_a_short_circuit(ex_tight):
+    sol = solve(build_mc_sdr(random_graph(12, seed=2, density=0.5))[0])
+    assert sol.status == STATUS_OPTIMAL
+    assert sol.stats == {"kkt_factorizations": sol.iters - 1,
+                         "kkt_solves": 21 * (sol.iters - 1),
+                         "psd_step_solves": 8 * (sol.iters - 1)}
+    sol = solve(build_sdr(ex_tight)[0])
+    assert sol.status == STATUS_UNBOUNDED and sol.iters == 0
+    assert sol.stats == zero_stats()

@@ -12,6 +12,7 @@ from bqrelax.symcone import (
     schur_complement,
     smat,
     svec,
+    svec_index,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -44,6 +45,48 @@ def test_smat_scalar():
 def test_smat_bad_length():
     with pytest.raises(DimensionError):
         smat(np.array([1.0, 2.0]))
+
+
+def svec_fancy(M):
+    """svec by fancy indexing on (row, column) pairs: the reference."""
+    M = np.asarray(M, dtype=float)
+    ii, jj, scale = svec_index(M.shape[0])
+    return M[ii, jj] * scale
+
+
+def smat_fancy(v):
+    """smat by fancy-index assignment of both triangles: the reference."""
+    d = int(round((np.sqrt(8 * v.shape[0] + 1) - 1) / 2))
+    ii, jj, scale = svec_index(d)
+    M = np.zeros((d, d))
+    vals = v / scale
+    M[ii, jj] = vals
+    M[jj, ii] = vals
+    return M
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 13, 41, 150])
+def test_svec_smat_match_fancy_index_reference(d):
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((d, d))
+    for M in (A, A + A.T, A.T, np.asfortranarray(A), A[::-1, ::-1]):
+        np.testing.assert_array_equal(svec(M), svec_fancy(M))
+    v = rng.standard_normal(d * (d + 1) // 2)
+    np.testing.assert_array_equal(smat(v), smat_fancy(v))
+    np.testing.assert_array_equal(smat(svec(A + A.T)), smat_fancy(svec_fancy(A + A.T)))
+
+
+def test_smat_bad_length_after_a_good_one():
+    smat(np.zeros(6))
+    for _ in range(2):
+        with pytest.raises(DimensionError):
+            smat(np.zeros(5))
+    assert smat(np.zeros(6)).shape == (3, 3)
+
+
+def test_svec_rejects_non_square():
+    with pytest.raises(DimensionError):
+        svec(np.zeros((2, 3)))
 
 
 def test_svec_smat_roundtrip():
