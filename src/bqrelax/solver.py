@@ -33,10 +33,9 @@ otherwise (face-reduced programs); the choice is made once per solve.
 
 Linear algebra per iteration: one LU factorization of the KKT matrix, 21
 refined back-solves with it, and the step-length search on the Cholesky
-factors of X and S that the NT scaling computed.  The back-solves call LAPACK
-getrs/trtrs directly, as scipy.linalg.lu_solve/solve_triangular would, so
-results are the same bit for bit without the wrappers' per-call checks.
-ConicSolution.stats counts the factorizations and both kinds of solves.
+factors of X and S that the NT scaling computed.  Inputs already known to be
+finite skip scipy's finiteness checks.  ConicSolution.stats counts the
+factorizations and both kinds of solves.
 """
 
 import logging
@@ -64,11 +63,6 @@ RANK_RHS_MISMATCH = 1e-8
 FREE_DUAL_RESIDUAL_REL = 1e-7
 FRACTION_TO_BOUNDARY = 0.99
 KKT_REGULARIZATION = 1e-12
-
-# LAPACK back-solves, fetched once: at the orders of the face-reduced
-# programs (8-13) the argument checks of scipy.linalg.lu_solve and
-# solve_triangular cost many times the solve itself
-_GETRS, _TRTRS = scipy.linalg.get_lapack_funcs(("getrs", "trtrs"), (np.zeros((1, 1)),))
 
 
 @dataclass
@@ -304,23 +298,14 @@ def _chol_with_repair(M: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky((V * w) @ V.T + floor * np.eye(M.shape[0]))
 
 
-def _lower_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """L^{-1} B for a C-ordered lower-triangular L, by LAPACK trtrs on the
-    Fortran-ordered L^T, as scipy.linalg.solve_triangular(L, B, lower=True)
-    calls it.  No finiteness check: see _max_step_psd."""
-    T, info = _TRTRS(L.T, B, lower=0, trans=1)
-    if info:
-        raise scipy.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    return T
-
-
 def _max_step_psd(L: np.ndarray, dx_svec: np.ndarray) -> float:
     """Largest alpha with X + alpha dX >= 0 for X = L L^T (Cholesky-transformed
-    eigen bound).  L is the iterate's factor from _nt_scaling; dx_svec is
-    finite because non-finite directions are rejected before the step."""
+    eigen bound).  L is the iterate's factor from _nt_scaling, and dx_svec is
+    finite because non-finite directions are rejected before the step, so the
+    solves skip the finiteness check."""
     dX = smat(dx_svec)
-    T = _lower_solve(L, dX)
-    T = _lower_solve(L, T.T)
+    T = scipy.linalg.solve_triangular(L, dX, lower=True, check_finite=False)
+    T = scipy.linalg.solve_triangular(L, T.T, lower=True, check_finite=False)
     lam_min = np.linalg.eigvalsh(0.5 * (T + T.T))[0]
     return np.inf if lam_min >= 0 else 1.0 / (-lam_min)
 
@@ -596,27 +581,19 @@ def _inf_norm(*arrays):
     return max(vals) if vals else 0.0
 
 
-def _lu_solve(lu, b: np.ndarray, stats: dict) -> np.ndarray:
-    """scipy.linalg.lu_solve(lu, b) for a finite b, by LAPACK getrs."""
-    stats["kkt_solves"] += 1
-    if not b.size:
-        return np.empty_like(b)
-    x, _ = _GETRS(*lu, b)
-    return x
-
-
 def _solve_refined(K: np.ndarray, lu, rhs: np.ndarray, stats: dict, rounds: int = 2) -> np.ndarray:
     """LU solve with iterative refinement; keeps direction accuracy near the
     boundary where the scaled KKT matrix is severely ill-conditioned.  A
-    non-finite rhs raises ValueError, as scipy.linalg.lu_solve does."""
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("array must not contain infs or NaNs")
-    z = _lu_solve(lu, rhs, stats)
+    non-finite rhs raises ValueError; the residuals are checked here, so their
+    solves skip scipy's check."""
+    z = scipy.linalg.lu_solve(lu, rhs)
+    stats["kkt_solves"] += 1
     for _ in range(rounds):
         err = rhs - K @ z
-        if not np.all(np.isfinite(err)):
+        if not np.isfinite(err).all():
             break
-        z = z + _lu_solve(lu, err, stats)
+        z = z + scipy.linalg.lu_solve(lu, err, check_finite=False)
+        stats["kkt_solves"] += 1
     return z
 
 
@@ -1029,7 +1006,7 @@ def _iterate(ws: _Workspace):
 
         # predictor
         aff = direction(0.0, np.zeros((d, d)) if d else None, np.zeros(p), 0.0)
-        if not all(np.all(np.isfinite(np.atleast_1d(v))) for v in aff):
+        if not all(np.isfinite(v).all() for v in aff):
             ws.restore_best()
             return STATUS_NUMERICAL_TROUBLE, None
         dxp_a, dxn_a, dxf_a, dy_a, dsp_a, dsn_a, dtau_a, dkap_a = aff
@@ -1052,7 +1029,7 @@ def _iterate(ws: _Workspace):
         corr_tk = dtau_a * dkap_a
 
         comb = direction(sigma, corr_mat if d else None, corr_nn, corr_tk)
-        if not all(np.all(np.isfinite(np.atleast_1d(v))) for v in comb):
+        if not all(np.isfinite(v).all() for v in comb):
             ws.restore_best()
             return STATUS_NUMERICAL_TROUBLE, None
         dxp, dxn, dxf, dy, dsp, dsn, dtau, dkap = comb

@@ -641,7 +641,7 @@ def test_row_storage_choice(name):
     assert (ws.coo is not None) == name.startswith("mc_")
 
 
-# ------------------------------------------------------------ LAPACK back-solves
+# ------------------------------------------------------------ back-solves and their counts
 
 def solve_refined_scipy(K, lu, rhs, rounds=2):
     """Refined LU solve through scipy.linalg.lu_solve: the reference."""
@@ -735,3 +735,20 @@ def test_solve_counts_on_a_direct_solve_and_a_short_circuit(ex_tight):
     sol = solve(build_sdr(ex_tight)[0])
     assert sol.status == STATUS_UNBOUNDED and sol.iters == 0
     assert sol.stats == zero_stats()
+
+
+def test_solve_counts_are_the_scipy_linalg_calls(monkeypatch):
+    """Every counted factorization and solve is a call of the scipy.linalg
+    function, so wrappers installed there (as a tracer does) see them all."""
+    calls = dict.fromkeys(("lu_factor", "lu_solve", "solve_triangular"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(scipy.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    prog, _ = build_sdr1(generate_instance("RdBQP", 12, 5, seed=1))
+    sol = solve(prog)
+    assert sol.stats["kkt_solves"] > 0 and sol.stats["psd_step_solves"] > 0
+    assert calls == {"lu_factor": sol.stats["kkt_factorizations"],
+                     "lu_solve": sol.stats["kkt_solves"],
+                     "solve_triangular": sol.stats["psd_step_solves"]}
