@@ -15,7 +15,6 @@ Failed solves cost +inf, so curves need not reach 1.
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,13 +54,11 @@ class ProfileCurve:
 
 
 def run_suite(kind: str, count: int, n: int, m: int, methods, base_seed: int = 0,
-              settings: SolverSettings | None = None, planted: bool = True,
-              workers: int = 1) -> list:
+              settings: SolverSettings | None = None, planted: bool = True) -> list:
     """Solve each method on ``count`` instances (seeds base_seed+1..base_seed+count).
 
-    Failures are recorded, not raised.  With workers > 1 the (instance,
-    method) pairs run on a thread pool; records come back sorted by
-    (instance_id, method) either way.  Timing studies should keep workers=1.
+    Failures are recorded, not raised.  Records come back sorted by
+    (instance_id, method).
     """
     methods = list(methods)
     unknown = [m_ for m_ in methods if m_ not in RELAXATION_BUILDERS]
@@ -71,35 +68,24 @@ def run_suite(kind: str, count: int, n: int, m: int, methods, base_seed: int = 0
         raise ValueError("count must be >= 1")
     settings = settings or SolverSettings()
 
-    tasks = []
+    records = []
     for i in range(1, count + 1):
         seed = base_seed + i
         inst = generate_instance(kind, n, m, seed=seed, planted=planted)
         for method in methods:
-            tasks.append((inst, method, seed))
-
-    def run_one(task):
-        inst, method, seed = task
-        prog, _ = RELAXATION_BUILDERS[method](inst)
-        t0 = time.perf_counter()
-        sol = solve(prog, settings)
-        wall = time.perf_counter() - t0
-        bound = sol.primal_obj if sol.status == STATUS_OPTIMAL else float("nan")
-        return RunRecord(
-            instance_id=inst.name,
-            method=method,
-            status=sol.status,
-            bound=bound,
-            iters=sol.iters,
-            wall_time=wall,
-            seed=seed,
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_one, tasks))
-    else:
-        records = [run_one(t) for t in tasks]
+            prog, _ = RELAXATION_BUILDERS[method](inst)
+            t0 = time.perf_counter()
+            sol = solve(prog, settings)
+            wall = time.perf_counter() - t0
+            records.append(RunRecord(
+                instance_id=inst.name,
+                method=method,
+                status=sol.status,
+                bound=sol.primal_obj if sol.status == STATUS_OPTIMAL else float("nan"),
+                iters=sol.iters,
+                wall_time=wall,
+                seed=seed,
+            ))
     records.sort(key=lambda r: (r.instance_id, r.method))
     return records
 

@@ -1,7 +1,7 @@
 """Numeric kernels (numpy).
 
 * ``scaled_congruence_rows`` — svec(R^T F_i R) for a batch of rows svec(F_i).
-  Facial reduction maps every row onto the face with it once per solve.
+  Facial reduction maps the rows it keeps onto the face with it once per solve.
   Inside the interior-point loop it runs only for the *dense* rows (more
   nonzeros than the PSD order) of the Schur assembly; sparse rows are
   assembled from the scaling matrix W = R R^T instead (``solver._SchurRows``),

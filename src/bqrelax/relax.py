@@ -5,6 +5,11 @@ block; equality rows only; linear objective plus a constant offset.  Max
 sense is carried as a flag and negated inside the solver; the offset never
 enters the solver.
 
+The BQP builders attach the face that holds every feasible PSD block
+(``Face``; always for the lifted ones, for ``sdr`` when some b_i = 0), its
+proof as a row combination and the rows it makes redundant; the solver
+reduces onto it instead of searching for it.
+
 Builders:
   build_sdr     - X PSD, x free, no coupling between them
   build_sdr1    - single lifted (1+n) PSD block [[1, x^T], [x, X]]
@@ -24,16 +29,32 @@ from .symcone import DimensionError, lifted_matrix, svec, svec_len
 
 
 @dataclass(eq=False)
+class Face:
+    """A face of the PSD cone holding every feasible PSD block Y, as the
+    builder knows it.
+
+    Column k_i of ``kernel`` (psd_order x k) comes with its proof: rows
+    ``rows[i]`` weighted by ``coeffs[i]`` combine to PSD part svec(k_i k_i^T),
+    zero orthant and free parts and rhs 0, so k_i^T Y k_i = 0 and, Y being
+    PSD, Y k_i = 0.  On the face each row in ``implied`` is a multiple of a
+    row that stays, rhs included.  Indices are program rows, so appended
+    rows keep the face valid.  The solver checks the combinations and drops
+    the implied rows as declared.
+    """
+
+    kernel: np.ndarray
+    rows: np.ndarray
+    coeffs: np.ndarray
+    implied: np.ndarray
+
+
+@dataclass(eq=False)
 class ConicProgram:
     """Standard-form conic program.
 
-    ``psd_kernel`` is optional solver metadata: a (psd_order x k) matrix whose
-    columns u are certified annihilated directions — every feasible PSD block
-    Y satisfies Y u = 0 because the equality rows force u^T Y u = 0.  The
-    lifted BQP builders attach it (the rows Y00 = 1, a^T x = b, a^T X a = b^2
-    force Y (b, -a) = 0), which lets the solver restore a strictly feasible
-    interior by facial reduction; the solver independently verifies the claim
-    before using it and ignores it otherwise.
+    ``face`` is optional solver metadata from the builder (see ``Face``): a
+    face of the PSD cone that holds every feasible PSD block, the row
+    combinations that prove it, and the rows it makes redundant.
     """
 
     sense: str
@@ -49,7 +70,7 @@ class ConicProgram:
     G_free: np.ndarray
     rhs: np.ndarray
     label: str = "conic"
-    psd_kernel: np.ndarray | None = None
+    face: Face | None = None
 
     def __post_init__(self):
         sd = svec_len(self.psd_order)
@@ -64,10 +85,13 @@ class ConicProgram:
             raise DimensionError("free block shapes inconsistent")
         if not np.isfinite(self.offset):
             raise ValueError("offset must be finite")
-        if self.psd_kernel is not None and (
-            self.psd_kernel.ndim != 2 or self.psd_kernel.shape[0] != self.psd_order
-        ):
-            raise DimensionError("psd_kernel must be (psd_order x k)")
+        face = self.face
+        if face is not None and (face.kernel.ndim != 2 or face.kernel.shape[0] != self.psd_order
+                                 or face.kernel.shape[1] == 0 or face.rows.ndim != 2
+                                 or face.rows.shape != face.coeffs.shape
+                                 or face.rows.shape[0] != face.kernel.shape[1]):
+            raise DimensionError("face kernel must be (psd_order x k), k >= 1, "
+                                 "its rows and coeffs (k x t)")
 
     @property
     def n_rows(self) -> int:
@@ -164,7 +188,7 @@ class _Builder:
         self.rows_free.append(np.asarray(free, dtype=float) if free is not None else np.zeros(self.f))
         self.rhs.append(float(rhs))
 
-    def finish(self, obj_psd_mat, obj_nn, obj_free, offset) -> ConicProgram:
+    def finish(self, obj_psd_mat, obj_nn, obj_free, offset, face=None) -> ConicProgram:
         sd = svec_len(self.d)
         rows = len(self.rhs)
         return ConicProgram(
@@ -181,6 +205,7 @@ class _Builder:
             G_free=np.array(self.rows_free).reshape(rows, self.f),
             rhs=np.array(self.rhs),
             label=self.label,
+            face=face,
         )
 
 
@@ -225,11 +250,12 @@ def build_sdr(inst: BqpInstance):
         bld.add_row(psd_mat=np.outer(inst.A[i], inst.A[i]), rhs=inst.b[i] ** 2)
     for i in range(n):
         bld.add_row(psd_mat=_e_diag(n, i), rhs=1.0)
-    prog = bld.finish(inst.Q, None, 2.0 * inst.c, 0.0)
-    zero_rows = [inst.A[i] for i in range(m) if inst.b[i] == 0.0 and np.any(inst.A[i])]
-    if zero_rows:
-        prog.psd_kernel = np.column_stack(zero_rows)
-    return prog, VariableMap(kind="split", n=n, space="x")
+    # a^T X a = 0 forces X a = 0; on that face the quadratic row reads 0 = 0
+    quad = [m + i for i in range(m) if inst.b[i] == 0.0 and np.any(inst.A[i])]
+    face = Face(kernel=np.column_stack([inst.A[r - m] for r in quad]),
+                rows=np.array(quad)[:, None], coeffs=np.ones((len(quad), 1)),
+                implied=np.array(quad)) if quad else None
+    return bld.finish(inst.Q, None, 2.0 * inst.c, 0.0, face), VariableMap(kind="split", n=n, space="x")
 
 
 def _lifted_common(bld, inst):
@@ -244,12 +270,23 @@ def _lifted_common(bld, inst):
         bld.add_row(psd_mat=_e_diag(d, 1 + i), rhs=1.0)
 
 
-def _lifted_kernel(A, b):
-    """Columns (b_i, -a_i): annihilated by every feasible lifted matrix."""
-    if A.shape[0] == 0:
+def _lifted_face(A, b, lin):
+    """Face of a lifted block with the Y00 row first and the rows
+    a_i^T x = b_i, a_i^T X a_i = b_i^2 from rows lin and lin + m on:
+    k_i = (b_i, -a_i), svec(k_i k_i^T) = b_i^2 [Y00] - 2 b_i [lin i] + [quad i]
+    with rhs 0.  Y k_i = 0 reads a_i^T x = b_i Y00 and a_i^T X a_i = b_i^2 Y00,
+    so with Y00 = 1 both rows of each a_i != 0 are implied."""
+    m = A.shape[0]
+    cols = [i for i in range(m) if np.any(A[i]) or b[i]]
+    if not cols:
         return None
-    cols = [np.concatenate(([b[i]], -A[i])) for i in range(A.shape[0]) if np.any(A[i]) or b[i]]
-    return np.column_stack(cols) if cols else None
+    return Face(
+        kernel=np.column_stack([np.concatenate(([b[i]], -A[i])) for i in cols]),
+        rows=np.array([[0, lin + i, lin + m + i] for i in cols]),
+        coeffs=np.array([[b[i] ** 2, -2.0 * b[i], 1.0] for i in cols]),
+        implied=np.array([lin + j * m + i for j in (0, 1) for i in range(m) if np.any(A[i])],
+                         dtype=int),
+    )
 
 
 def _lifted_objective(Q, c):
@@ -266,8 +303,7 @@ def build_sdr1(inst: BqpInstance):
     n = inst.n
     bld = _Builder("min", 1 + n, 0, 0, "sdr1")
     _lifted_common(bld, inst)
-    prog = bld.finish(_lifted_objective(inst.Q, inst.c), None, None, 0.0)
-    prog.psd_kernel = _lifted_kernel(inst.A, inst.b)
+    prog = bld.finish(_lifted_objective(inst.Q, inst.c), None, None, 0.0, _lifted_face(inst.A, inst.b, 1))
     return prog, VariableMap(kind="lifted", n=n, space="x")
 
 
@@ -289,8 +325,7 @@ def build_sdr2(inst: BqpInstance):
             slack[k] = -1.0
             bld.add_row(psd_mat=F, nn=slack, rhs=-1.0)
             k += 1
-    prog = bld.finish(_lifted_objective(inst.Q, inst.c), None, None, 0.0)
-    prog.psd_kernel = _lifted_kernel(inst.A, inst.b)
+    prog = bld.finish(_lifted_objective(inst.Q, inst.c), None, None, 0.0, _lifted_face(inst.A, inst.b, 1))
     return prog, VariableMap(kind="lifted", n=n, space="x")
 
 
@@ -359,8 +394,7 @@ def build_dnnp(inst: BqpInstance):
     C[1:, 1:] = 4.0 * inst.Q
     C[0, 1:] = zs.qz / 2.0
     C[1:, 0] = zs.qz / 2.0
-    prog = bld.finish(C, None, None, zs.constz)
-    prog.psd_kernel = _lifted_kernel(2.0 * inst.A, zs.bz)
+    prog = bld.finish(C, None, None, zs.constz, _lifted_face(zs.Az, zs.bz, 1 + n))
     return prog, VariableMap(kind="lifted", n=n, space="z")
 
 

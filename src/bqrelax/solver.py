@@ -26,6 +26,10 @@ check detects objective components outside range(A_f^T) and short-circuits
 to Unbounded with an exact improving ray.  Rows are normalized to unit
 coefficient norm for conditioning.
 
+Facial reduction: a program whose builder declares a face (relax.Face) and
+whose declared row combinations check out is solved on it, without the rows
+the face implies; the solution is lifted back to the original rows.
+
 Row storage: the products G x and G^T y in the loop come from
 (row, column, value) index arrays when the normalized rows hold at most
 rows + columns nonzeros (the max-cut programs), and from the dense blocks
@@ -38,6 +42,7 @@ finite skip scipy's finiteness checks.  ConicSolution.stats counts the
 factorizations and both kinds of solves.
 """
 
+import dataclasses
 import logging
 import time
 from dataclasses import dataclass, field
@@ -255,22 +260,8 @@ def _private_rows(G: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 
 def _keep_rows(prog: ConicProgram, kept: list) -> ConicProgram:
-    return ConicProgram(
-        sense=prog.sense,
-        psd_order=prog.psd_order,
-        nonneg_count=prog.nonneg_count,
-        free_count=prog.free_count,
-        obj_psd=prog.obj_psd,
-        obj_nonneg=prog.obj_nonneg,
-        obj_free=prog.obj_free,
-        offset=prog.offset,
-        G_psd=prog.G_psd[kept],
-        G_nonneg=prog.G_nonneg[kept],
-        G_free=prog.G_free[kept],
-        rhs=prog.rhs[kept],
-        label=prog.label,
-        psd_kernel=prog.psd_kernel,
-    )
+    return dataclasses.replace(prog, G_psd=prog.G_psd[kept], G_nonneg=prog.G_nonneg[kept],
+                               G_free=prog.G_free[kept], rhs=prog.rhs[kept], face=None)
 
 
 def _nt_scaling(X: np.ndarray, S: np.ndarray):
@@ -601,10 +592,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
     """Solve a standard-form conic program; see module docstring for semantics."""
     settings = settings or SolverSettings()
     t0 = time.perf_counter()
-    if prog.psd_kernel is not None and prog.psd_kernel.size:
-        sol = _solve_facial(prog, settings)
-    else:
-        sol = _solve_direct(prog, settings)
+    sol = _solve_direct(prog, settings) if prog.face is None else _solve_facial(prog, settings)
     sol.solve_time = time.perf_counter() - t0
     return sol
 
@@ -628,80 +616,59 @@ def _solve_direct(prog: ConicProgram, settings: SolverSettings,
 
 
 def _solve_facial(prog: ConicProgram, settings: SolverSettings) -> ConicSolution:
-    """Facial reduction: restrict the PSD block to the orthogonal complement of
-    the certified annihilated directions, solve the (Slater-restored) reduced
-    program, lift the primal back, and repair the dual slack by adding the
-    face's own row combination, which changes neither the dual objective nor
-    the complementarity (the combination has zero rhs inner product and
-    annihilates the face)."""
-    d = prog.psd_order
-    Qf, Rf = np.linalg.qr(prog.psd_kernel, mode="complete")
-    diag = np.abs(np.diag(Rf)) if min(Rf.shape) else np.zeros(0)
-    rank = int(np.sum(diag > 1e-12 * max(1.0, diag.max() if diag.size else 1.0)))
-    if rank == 0:
+    """Facial reduction onto the builder's face (relax.Face): restrict the
+    PSD block to the orthogonal complement V of the kernel and drop the rows
+    the face implies, solve the (Slater-restored) reduced program, lift the
+    primal back, and repair the dual slack by adding the face's own row
+    combination, which changes neither the dual objective nor the
+    complementarity (the combination has zero rhs inner product and
+    annihilates the face).  A face whose row combinations do not check out
+    is not used: the program is solved unreduced."""
+    face = prog.face
+    lam_face = _face_multipliers(prog)
+    if lam_face is None:
+        log.warning("facial reduction: the face's row combination does not hold; "
+                    "solving the program unreduced")
         return _solve_direct(prog, settings)
-    U = Qf[:, :rank]
+    Qf, Rf = np.linalg.qr(face.kernel, mode="complete")
+    diag = np.abs(np.diag(Rf))
+    rank = int(np.sum(diag > 1e-12 * max(1.0, diag.max())))
     V = Qf[:, rank:]
-    d2 = V.shape[1]
+    keep = np.setdiff1d(np.arange(prog.n_rows), face.implied)
 
-    reduced = ConicProgram(
-        sense=prog.sense,
-        psd_order=d2,
-        nonneg_count=prog.nonneg_count,
-        free_count=prog.free_count,
-        obj_psd=svec(V.T @ smat(prog.obj_psd) @ V) if d2 else np.zeros(0),
-        obj_nonneg=prog.obj_nonneg,
-        obj_free=prog.obj_free,
-        offset=prog.offset,
-        G_psd=kernels.scaled_congruence_rows(prog.G_psd, V) if d2 else np.zeros((prog.n_rows, 0)),
-        G_nonneg=prog.G_nonneg,
-        G_free=prog.G_free,
-        rhs=prog.rhs,
-        label=prog.label,
-    )
-    # dependent rows are expected after the reduction (the face absorbs the
-    # quadratic/linear row combinations), so the prune log is demoted
+    reduced = dataclasses.replace(
+        prog, psd_order=V.shape[1], obj_psd=svec(V.T @ smat(prog.obj_psd) @ V),
+        G_psd=kernels.scaled_congruence_rows(prog.G_psd[keep], V),
+        G_nonneg=prog.G_nonneg[keep], G_free=prog.G_free[keep], rhs=prog.rhs[keep], face=None)
+    # rows can still depend on each other on the face (diagonal rows at
+    # large m), so the prune log is demoted
     inner = _solve_direct(reduced, settings, quiet_presolve=True)
 
+    def lift_y(y_reduced):
+        y_full = np.zeros(prog.n_rows)
+        y_full[keep] = y_reduced
+        return y_full
+
     # lift primal blocks
-    X_full = V @ inner.primal_psd @ V.T if d2 else np.zeros((d, d))
+    X_full = V @ inner.primal_psd @ V.T
     sgn = 1.0 if prog.sense == "min" else -1.0
     c_psd_int = sgn * prog.obj_psd
 
     # dual repair: the V-block of c - G^T y is the reduced dual slack (PSD up
     # to the reduced solve's accuracy); the U-block is repaired by adding the
-    # face combination t*W, which leaves b^T y and the complementarity with
-    # the lifted primal unchanged.  W must combine the *original* kernel
-    # columns (each u u^T is a row combination); an orthonormalized basis
-    # would mix them inexpressibly.  The V-block itself is spliced from the
-    # reduced solve's slack, which is complementarity-clean.
-    Kn = prog.psd_kernel / np.linalg.norm(prog.psd_kernel, axis=0)
+    # face combination t*W, W = sum_i k_i k_i^T / |k_i|^2, which leaves b^T y
+    # and the complementarity with the lifted primal unchanged.  The V-block
+    # itself is spliced from the reduced solve's slack, which is
+    # complementarity-clean.
+    Kn = face.kernel / np.linalg.norm(face.kernel, axis=0)
     W = Kn @ Kn.T
-    y = inner.dual_y.copy()
-    lam_face, expressible = _face_combination(prog, W)
-    t = 0.0
-    if d:
-        base = smat(c_psd_int - prog.G_psd.T @ y)
-        if d2:
-            base = base + V @ (inner.dual_slack_psd - V.T @ base @ V) @ V.T
-        s_mat = base
-        if expressible and d2 < d:
-            margin = psd_margin(base)
-            scale = max(1.0, _inf_norm(svec(base)))
-            step = scale / 16.0
-            while margin < -1e-9 and step < 1e12 * scale:
-                t_try = t + step
-                m_try = psd_margin(base + t_try * W)
-                if m_try > margin:
-                    t, margin = t_try, m_try
-                step *= 2.0
-            s_mat = base + t * W
-            y = y - t * lam_face
-        elif not expressible:
-            log.warning("facial reduction: kernel combination not expressible in "
-                        "rows; dual slack left unrepaired")
-    else:
-        s_mat = np.zeros((0, 0))
+    y = lift_y(inner.dual_y)
+    base = smat(c_psd_int - prog.G_psd.T @ y)
+    base = base + V @ (inner.dual_slack_psd - V.T @ base @ V) @ V.T
+    scale = max(1.0, _inf_norm(svec(base)))
+    t = _face_shift(base, W, -1e-9, scale / 16.0, 2.0, 1e12 * scale)
+    s_mat = base + t * W
+    y = y - t * lam_face
     # orthant dual slack from the reduced solve: nonnegative by construction,
     # consistent with y up to the reduced solve's dual residual
     s_nn = inner.dual_slack_nonneg
@@ -710,33 +677,23 @@ def _solve_facial(prog: ConicProgram, settings: SolverSettings) -> ConicSolution
     if ray_cert is not None and ray_cert.kind == "primal":
         ray_cert = RayCertificate(
             kind="primal",
-            psd=V @ ray_cert.psd @ V.T if d2 else np.zeros((d, d)),
+            psd=V @ ray_cert.psd @ V.T,
             nonneg=ray_cert.nonneg,
             free=ray_cert.free,
         )
     elif ray_cert is not None and ray_cert.kind == "dual":
-        yr = ray_cert.y.copy()
-        if expressible and d2 < d:
-            sr = -prog.G_psd.T @ yr
-            t = 0.0
-            margin = psd_margin(smat(sr)) if d else 0.0
-            scale = max(1.0, _inf_norm(sr))
-            step = scale
-            while margin < -1e-12 and step < 1e15 * scale:
-                t_try = t + step
-                m_try = psd_margin(smat(sr + t_try * svec(W)))
-                if m_try > margin:
-                    t, margin = t_try, m_try
-                step *= 4.0
-            yr = yr - t * lam_face
+        yr = lift_y(ray_cert.y)
+        sr = -prog.G_psd.T @ yr
+        scale = max(1.0, _inf_norm(sr))
+        yr = yr - _face_shift(smat(sr), W, -1e-12, scale, 4.0, 1e15 * scale) * lam_face
         ray_cert = RayCertificate(
             kind="dual",
             y=yr,
-            slack_psd=smat(-prog.G_psd.T @ yr) if d else np.zeros((0, 0)),
+            slack_psd=smat(-prog.G_psd.T @ yr),
             slack_nonneg=-prog.G_nonneg.T @ yr,
         )
 
-    sol = ConicSolution(
+    return ConicSolution(
         status=inner.status,
         primal_psd=X_full,
         primal_nonneg=inner.primal_nonneg,
@@ -750,22 +707,40 @@ def _solve_facial(prog: ConicProgram, settings: SolverSettings) -> ConicSolution
         residuals=inner.residuals,
         ray=ray_cert,
         history=inner.history,
-        dropped_rows=inner.dropped_rows,
+        dropped_rows=sorted(face.implied.tolist() + keep[inner.dropped_rows].tolist()),
         stats=inner.stats,
     )
-    return sol
 
 
-def _face_combination(prog: ConicProgram, W: np.ndarray):
-    """Coefficients lam with sum(lam_i * row_i) = (svec(W), 0, 0) and
-    lam . rhs = 0, if the rows express the face; (lam, ok)."""
-    target = np.concatenate([svec(W), np.zeros(prog.nonneg_count),
-                             np.zeros(prog.free_count), [0.0]])
-    B = np.vstack([_stack_rows(prog).T, prog.rhs[None, :]])
-    lam, *_ = np.linalg.lstsq(B, target, rcond=None)
-    lam += np.linalg.lstsq(B, target - B @ lam, rcond=None)[0]
-    resid = _inf_norm(B @ lam - target)
-    return lam, resid <= 1e-7 * (1.0 + _inf_norm(W))
+def _face_shift(S: np.ndarray, W: np.ndarray, floor: float, step: float, grow: float,
+                limit: float) -> float:
+    """t >= 0 raising the least eigenvalue of S + t W, by a growing-step search
+    that stops once it exceeds floor or the step reaches limit."""
+    t, margin = 0.0, psd_margin(S)
+    while margin < floor and step < limit:
+        m_try = psd_margin(S + (t + step) * W)
+        if m_try > margin:
+            t, margin = t + step, m_try
+        step *= grow
+    return t
+
+
+def _face_multipliers(prog: ConicProgram):
+    """lam with sum_r lam_r row_r = (svec(W), 0, 0) and lam . rhs = 0 for
+    W = sum_i k_i k_i^T / |k_i|^2, from the face's declared row combinations;
+    None unless each combination gives svec(k_i k_i^T), zero orthant and free
+    parts and zero rhs, to rounding."""
+    face = prog.face
+    lam = np.zeros(prog.n_rows)
+    for k, r, c in zip(face.kernel.T, face.rows, face.coeffs):
+        B = np.hstack([prog.G_psd[r], prog.G_nonneg[r], prog.G_free[r], prog.rhs[r, None]])
+        want = np.zeros(B.shape[1])
+        want[:prog.G_psd.shape[1]] = svec(np.outer(k, k))
+        kk = float(k @ k)
+        if kk == 0.0 or np.any(np.abs(c @ B - want) > 1e-12 * (1.0 + np.abs(c) @ np.abs(B))):
+            return None
+        np.add.at(lam, r, c / kk)
+    return lam
 
 
 def _free_block_unbounded_ray(prog: ConicProgram):

@@ -119,13 +119,6 @@ def test_run_suite_shapes_and_determinism():
     assert all(r.wall_time >= 0 for r in a)
 
 
-def test_run_suite_workers_match_serial():
-    settings = SolverSettings(tol_feas=1e-6, tol_gap=1e-6, max_iters=100)
-    a = run_suite("RdBQP", 2, 5, 1, ["sdr1"], base_seed=3, settings=settings)
-    b = run_suite("RdBQP", 2, 5, 1, ["sdr1"], base_seed=3, settings=settings, workers=2)
-    np.testing.assert_array_equal([r.bound for r in a], [r.bound for r in b])
-
-
 def test_run_suite_validates_methods():
     with pytest.raises(ValueError, match="unknown methods"):
         run_suite("RdnBQP", 1, 4, 1, ["nope"])

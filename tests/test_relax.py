@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from bqrelax.relax import (
     build_sdr2,
     build_zspace,
 )
-from bqrelax.symcone import lifted_matrix, svec
+from bqrelax.symcone import DimensionError, lifted_matrix, svec
 
 
 def eval_row(prog, i, psd_mat, nonneg=None, free=None):
@@ -208,7 +209,7 @@ def test_lifted_kernel_is_row_combination():
     # svec(u u^T) = b_i^2 * row(Y00) - 2 b_i * row(lin_i) + row(quad_i), rhs-combination 0
     inst = generate_instance("RdnBQP", 6, 3, seed=2)
     prog, _ = build_sdr1(inst)
-    K = prog.psd_kernel
+    K = prog.face.kernel
     assert K is not None and K.shape == (7, 3)
     for i in range(inst.m):
         u = K[:, i]
@@ -221,6 +222,54 @@ def test_lifted_kernel_is_row_combination():
                      - 2.0 * inst.b[i] * prog.rhs[1 + i]
                      + prog.rhs[1 + inst.m + i])
         assert rhs_combo == pytest.approx(0.0, abs=1e-9)
+
+
+def zero_rhs_row(inst, i):
+    b = inst.b.copy()
+    b[i] = 0.0
+    return BqpInstance(inst.Q, inst.c, inst.A, b)
+
+
+@pytest.mark.parametrize("builder", [build_sdr1, build_sdr2, build_dnnp])
+def test_lifted_face_declares_its_combination_and_rows(builder):
+    # dnnp has the same structure as sdr1/sdr2 in z-space, with (2A, Ae - b)
+    inst = generate_instance("RdBQP", 7, 3, seed=4)
+    prog, _ = builder(inst)
+    face = prog.face
+    m, lin = inst.m, 1 + (inst.n if builder is build_dnnp else 0)
+    assert face.kernel.shape == (inst.n + 1, m)
+    np.testing.assert_array_equal(face.rows, [[0, lin + i, lin + m + i] for i in range(m)])
+    for k, r, c in zip(face.kernel.T, face.rows, face.coeffs):
+        np.testing.assert_allclose(c @ prog.G_psd[r], svec(np.outer(k, k)), rtol=0, atol=1e-12)
+        assert not (c @ prog.G_nonneg[r]).any()
+        assert c @ prog.rhs[r] == pytest.approx(0.0, abs=1e-12 * (np.abs(c) @ np.abs(prog.rhs[r])))
+    # the linear and quadratic rows of every constraint; never Y00
+    np.testing.assert_array_equal(face.implied, np.arange(lin, lin + 2 * m))
+
+
+def test_sdr_face_only_for_zero_rhs_rows():
+    inst = generate_instance("RdBQP", 7, 3, seed=4)
+    assert build_sdr(inst)[0].face is None
+    prog, _ = build_sdr(zero_rhs_row(inst, 1))
+    np.testing.assert_array_equal(prog.face.kernel, inst.A[1][:, None])
+    np.testing.assert_array_equal(prog.face.rows, [[inst.m + 1]])
+    np.testing.assert_array_equal(prog.face.implied, [inst.m + 1])
+    np.testing.assert_array_equal(prog.G_psd[inst.m + 1], svec(np.outer(inst.A[1], inst.A[1])))
+    assert prog.rhs[inst.m + 1] == 0.0
+
+
+def test_face_shapes_validated():
+    prog, _ = build_sdr1(generate_instance("RdBQP", 5, 2, seed=1))
+    face = prog.face
+    bad = [
+        dataclasses.replace(face, kernel=face.kernel[1:]),
+        dataclasses.replace(face, kernel=face.kernel[:, :0]),
+        dataclasses.replace(face, rows=face.rows[:1]),
+        dataclasses.replace(face, coeffs=face.coeffs[:, :2]),
+    ]
+    for f in bad:
+        with pytest.raises(DimensionError):
+            dataclasses.replace(prog, face=f)
 
 
 def test_debug_json_roundtrips():

@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -244,7 +246,7 @@ def append_row(prog, psd_row, nn_row, free_row, rhs):
         G_nonneg=np.vstack([prog.G_nonneg, nn_row]),
         G_free=np.vstack([prog.G_free, free_row]),
         rhs=np.concatenate([prog.rhs, [rhs]]),
-        label=prog.label, psd_kernel=prog.psd_kernel,
+        label=prog.label, face=prog.face,
     )
 
 
@@ -347,7 +349,7 @@ def test_scale_robustness(ex_tight):
         free_count=prog.free_count, obj_psd=1e3 * prog.obj_psd,
         obj_nonneg=1e3 * prog.obj_nonneg, obj_free=1e3 * prog.obj_free,
         offset=prog.offset, G_psd=prog.G_psd, G_nonneg=prog.G_nonneg,
-        G_free=prog.G_free, rhs=prog.rhs, label=prog.label, psd_kernel=prog.psd_kernel,
+        G_free=prog.G_free, rhs=prog.rhs, label=prog.label, face=prog.face,
     )
     a = solve(prog)
     b = solve(scaled)
@@ -456,7 +458,7 @@ def test_face_reduced_solve_keeps_congruence(monkeypatch, ex_tight):
 
 def test_mixed_sparse_dense_rows_certified():
     prog = sdr_without_linear_term("RdnBQP", 20, 10, 1)
-    assert prog.psd_kernel is None
+    assert prog.face is None
     ws = _Workspace(prog, SolverSettings())
     assert ws.schur.sparse.size and ws.schur.dense.size
     sol = solve(prog)
@@ -521,8 +523,144 @@ def test_presolve_matches_full_qr(name):
     assert not pre.infeasible
     assert pre.dropped_rows == full_qr_dropped(prog)
     assert pre.program.n_rows == prog.n_rows - len(pre.dropped_rows)
-    if name.endswith("-face"):  # the face makes the linear/quadratic rows dependent
-        assert pre.dropped_rows
+    if name.endswith("-face"):  # the builder already dropped the rows the face implies
+        assert pre.dropped_rows == []
+
+
+def with_A(inst, A, b):
+    return BqpInstance(inst.Q, inst.c, np.asarray(A, dtype=float), np.asarray(b, dtype=float))
+
+
+def desk_inst():
+    return generate_instance("RdBQP", 12, 5, seed=1)
+
+
+def duplicated_row_inst():
+    inst = desk_inst()
+    return with_A(inst, np.vstack([inst.A, inst.A[1]]), np.append(inst.b, inst.b[1]))
+
+
+def zero_rhs_inst():
+    inst = desk_inst()
+    b = inst.b.copy()
+    b[2] = 0.0
+    return with_A(inst, inst.A, b)
+
+
+DECLARED_FACE_PROGRAMS = {
+    **{f"{b.__name__[6:]}": (lambda b=b: b(desk_inst())[0])
+       for b in (build_sdr1, build_sdr2, build_dnnp)},
+    **{f"{b.__name__[6:]}-dup-row": (lambda b=b: b(duplicated_row_inst())[0])
+       for b in (build_sdr1, build_sdr2, build_dnnp)},
+    **{f"{b.__name__[6:]}-m10": (lambda b=b: b(generate_instance("RdBQP", 12, 10, seed=1))[0])
+       for b in (build_sdr1, build_sdr2, build_dnnp)},
+    **{f"{b.__name__[6:]}-b0": (lambda b=b: b(zero_rhs_inst())[0])
+       for b in (build_sdr, build_sdr1, build_sdr2, build_dnnp)},
+}
+
+
+def onto_face(prog, rows):
+    """The given rows of prog mapped onto its face, as the solver maps them."""
+    Q, R = np.linalg.qr(prog.face.kernel, mode="complete")
+    diag = np.abs(np.diag(R))
+    V = Q[:, int(np.sum(diag > 1e-12 * max(1.0, diag.max()))):]
+    return ConicProgram(
+        sense=prog.sense, psd_order=V.shape[1], nonneg_count=prog.nonneg_count,
+        free_count=prog.free_count, obj_psd=svec(V.T @ smat(prog.obj_psd) @ V),
+        obj_nonneg=prog.obj_nonneg, obj_free=prog.obj_free, offset=prog.offset,
+        G_psd=kernels.scaled_congruence_rows(prog.G_psd[rows], V),
+        G_nonneg=prog.G_nonneg[rows], G_free=prog.G_free[rows], rhs=prog.rhs[rows],
+        label=prog.label)
+
+
+@pytest.mark.parametrize("name", sorted(DECLARED_FACE_PROGRAMS))
+def test_declared_rows_match_full_qr_on_the_face(name):
+    prog = DECLARED_FACE_PROGRAMS[name]()
+    implied = prog.face.implied
+    rest = np.setdiff1d(np.arange(prog.n_rows), implied)
+    # a full pivoted QR over every row mapped onto the face finds as many
+    # dependent rows as the builder declares plus what presolve drops of the rest
+    full = full_qr_dropped(onto_face(prog, np.arange(prog.n_rows)))
+    reduced = onto_face(prog, rest)
+    pre = presolve_rank_check(reduced, quiet=True)
+    assert not pre.infeasible
+    assert pre.dropped_rows == full_qr_dropped(reduced)
+    assert len(implied) + len(pre.dropped_rows) == len(full)
+    # and on the face every declared row, rhs included, is a combination of the kept rows
+    kept = pre.program
+    G = np.hstack([kept.G_psd, kept.G_nonneg, kept.G_free, kept.rhs[:, None]])
+    on_face = onto_face(prog, implied)
+    D = np.hstack([on_face.G_psd, on_face.G_nonneg, on_face.G_free, on_face.rhs[:, None]])
+    combos, *_ = np.linalg.lstsq(G.T, D.T, rcond=None)
+    assert np.abs(G.T @ combos - D.T).max() <= 1e-9 * max(1.0, np.abs(D).max())
+
+
+def test_declared_rows_leave_presolve_work_at_large_m():
+    prog = DECLARED_FACE_PROGRAMS["sdr2-m10"]()
+    pre = presolve_rank_check(face_reduced(prog), quiet=True)
+    assert pre.dropped_rows  # diagonal rows depend on each other on a small face
+    sol = solve(prog)
+    assert set(prog.face.implied) <= set(sol.dropped_rows)
+    assert len(sol.dropped_rows) == len(prog.face.implied) + len(pre.dropped_rows)
+
+
+@pytest.mark.parametrize("builder", [build_sdr1, build_sdr2, build_dnnp])
+def test_face_reduced_solve_makes_no_lstsq_call(monkeypatch, builder):
+    calls = []
+    original = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: calls.append(a[0].shape) or original(*a, **k))
+    prog, _ = builder(desk_inst())
+    sol = solve(prog)
+    assert sol.status == STATUS_OPTIMAL
+    assert certify(prog, sol, 1e-6).ok
+    assert calls == []
+    assert sol.dropped_rows == prog.face.implied.tolist()
+
+
+@pytest.mark.parametrize("builder", [build_sdr1, build_sdr2, build_dnnp])
+@pytest.mark.parametrize("n, m, seed, face_order", [(3, 5, 1, 0), (5, 3, 4, 3)])
+def test_infeasible_face_certificate_lifts_to_the_original_rows(builder, n, m, seed, face_order):
+    # unplanted data: no sign vector meets A x = b.  With m > n the kernel
+    # spans the whole lifted block (presolve finds Y00 = 1 impossible on a
+    # zero-order face); with m < n the loop finds the dual ray
+    prog, _ = builder(generate_instance("RdiBQP", n, m, seed=seed, planted=False))
+    assert n + 1 - np.linalg.matrix_rank(prog.face.kernel) == face_order
+    sol = solve(prog)
+    assert sol.status == STATUS_INFEASIBLE
+    assert sol.ray.y.shape == (prog.n_rows,)
+    rep = certify(prog, sol, 1e-6)
+    assert rep.ok, rep.failed()
+
+
+def corrupt_coefficient(face):
+    coeffs = face.coeffs.copy()
+    coeffs[0, 1] *= 1.0 + 1e-6
+    return dataclasses.replace(face, coeffs=coeffs)
+
+
+def corrupt_row(face):
+    rows = face.rows.copy()
+    rows[0, 2] = rows[1, 2]  # the quadratic row of another constraint
+    return dataclasses.replace(face, rows=rows)
+
+
+@pytest.mark.parametrize("corrupt", [corrupt_coefficient, corrupt_row])
+def test_face_failing_its_check_is_not_used(monkeypatch, caplog, corrupt):
+    prog, _ = build_sdr1(generate_instance("RdBQP", 6, 2, seed=3))
+    assert solver._face_multipliers(prog) is not None
+    prog.face = corrupt(prog.face)
+    assert solver._face_multipliers(prog) is None
+    seen = []
+    real = solver.presolve_rank_check
+    monkeypatch.setattr(solver, "presolve_rank_check",
+                        lambda p, quiet=False: seen.append(p) or real(p, quiet))
+    with caplog.at_level(logging.WARNING, logger="bqrelax.solver"):
+        sol = solve(prog, SolverSettings(max_iters=5))
+    # solved unreduced: presolve saw every row on the whole PSD block
+    assert [(p.psd_order, p.n_rows) for p in seen] == [(prog.psd_order, prog.n_rows)]
+    assert sol.primal_psd.shape == (prog.psd_order, prog.psd_order)
+    assert "row combination does not hold" in caplog.text
 
 
 def test_presolve_duplicated_slack_free_rows_match_full_qr():
@@ -715,7 +853,7 @@ def test_max_step_psd_reuses_the_nt_factor(d):
 
 def test_solve_counts_on_a_face_reduced_solve():
     prog, _ = build_sdr1(generate_instance("RdBQP", 12, 5, seed=1))
-    assert prog.psd_kernel is not None and prog.psd_kernel.size
+    assert prog.face is not None
     sol = solve(prog)
     assert sol.status == STATUS_OPTIMAL
     factorizations = sol.stats["kkt_factorizations"]
