@@ -77,7 +77,8 @@ def _solve_report(prog, settings):
         "bound": None if not np.isfinite(sol.primal_obj) else sol.primal_obj,
         "iters": sol.iters,
         "time": sol.solve_time,
-        "stats": sol.stats,
+        "stop_reason": sol.stats["stop_reason"],
+        "stats": {k: sol.stats[k] for k in solver.SOLVE_COUNTS},
     }
     if sol.status in (solver.STATUS_UNBOUNDED, solver.STATUS_INFEASIBLE) and sol.ray is not None:
         cert = solver.certify(prog, sol, 1e-6)

@@ -3,7 +3,7 @@
 * ``scaled_congruence_rows`` — svec(R^T F_i R) for a batch of rows svec(F_i).
   Facial reduction maps the rows it keeps onto the face with it once per solve.
   Inside the interior-point loop it runs only for the *dense* rows (more
-  nonzeros than the PSD order) of the Schur assembly; sparse rows are
+  nonzeros than the PSD order, or none) of the Schur assembly; sparse rows are
   assembled from the scaling matrix W = R R^T instead (``solver._SchurRows``),
   and the tests use this kernel as the reference for that assembly.
 * ``bqp_enumerate`` — brute-force enumeration of all sign vectors for the

@@ -8,7 +8,8 @@ sense); Infeasible returns a dual ray (y, s = -G^T y) normalized to b^T y = 1.
 
 Internal orientation is always min sense (max-sense programs are negated on
 the way in and un-negated in reported objective values; offsets stay outside
-the iteration).  Logged per-iteration values are internal min-sense:
+the iteration).  The per-iteration log goes to the ``bqrelax.solver`` logger
+at DEBUG; its values are internal min-sense:
 ``dual_obj`` there is the complementarity-based estimate
 ``primal_obj - (x.s + tau*kappa)/tau^2``, which is a lower bound by
 construction at every iterate (the naive b^T y / tau is not, for
@@ -35,11 +36,13 @@ Row storage: the products G x and G^T y in the loop come from
 rows + columns nonzeros (the max-cut programs), and from the dense blocks
 otherwise (face-reduced programs); the choice is made once per solve.
 
-Linear algebra per iteration: one LU factorization of the KKT matrix, 21
-refined back-solves with it, and the step-length search on the Cholesky
-factors of X and S that the NT scaling computed.  Inputs already known to be
-finite skip scipy's finiteness checks.  ConicSolution.stats counts the
-factorizations and both kinds of solves.
+Linear algebra per iteration: the KKT matrix is assembled in place in one
+buffer per solve, rows in the program's own order (see _SchurRows), and
+factored once by LU; 21 refined back-solves use the factors, and the
+step-length search uses the Cholesky factors of X and S that the NT scaling
+computed.  Inputs already known to be finite skip scipy's finiteness checks.
+ConicSolution.stats counts the factorizations and both kinds of solves, and
+its stop_reason names the exit the solve took.
 """
 
 import dataclasses
@@ -76,7 +79,6 @@ class SolverSettings:
     tol_feas: float = 1e-8
     tol_infeas: float = 1e-8
     max_iters: int = 200
-    verbosity: int = 0
 
     def __post_init__(self):
         if min(self.tol_gap, self.tol_feas, self.tol_infeas) <= 0:
@@ -115,6 +117,13 @@ class RayCertificate:
 SOLVE_COUNTS = ("kkt_factorizations", "kkt_solves", "psd_step_solves")
 
 
+def _zero_stats(stop_reason: str | None = None) -> dict:
+    """ConicSolution.stats before any work: zero counts and why the solve
+    ended (one value per exit of _iterate, or presolve_infeasible /
+    presolve_unbounded)."""
+    return {**dict.fromkeys(SOLVE_COUNTS, 0), "stop_reason": stop_reason}
+
+
 @dataclass
 class ConicSolution:
     status: str
@@ -132,7 +141,7 @@ class ConicSolution:
     history: list = field(default_factory=list)
     dropped_rows: list = field(default_factory=list)
     solve_time: float = 0.0
-    stats: dict = field(default_factory=lambda: dict.fromkeys(SOLVE_COUNTS, 0))
+    stats: dict = field(default_factory=_zero_stats)
 
 
 @dataclass
@@ -313,15 +322,48 @@ def _max_step_scalar(x: float, dx: float) -> float:
 
 
 class _Slot(NamedTuple):
-    """The t-th nonzero of each sparse row that has one: its position in the
-    support J, its svec index k = (a, b), its value v and v * svec scale."""
+    """Gather plan of the t-th nonzero of every sparse row that has one:
+    those rows (a slice when consecutive), the nonzero's svec index
+    k = (a, b), its value v, c = v * sigma_k (sigma = 1/sqrt(2) on the
+    diagonal, 1 off it) and vs = v * svec scale."""
 
-    kJ: np.ndarray
+    rows: slice | np.ndarray
     k: np.ndarray
     a: np.ndarray
     b: np.ndarray
     v: np.ndarray
+    c: np.ndarray
     vs: np.ndarray
+
+
+def _span(idx: np.ndarray):
+    """Sorted distinct row indices as a slice when consecutive, else as they are."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _block(r, c):
+    """Index of the block rows r x columns c of a matrix (a view when both
+    are slices)."""
+    if isinstance(r, slice) or isinstance(c, slice):
+        return r, c
+    return np.ix_(r, c)
+
+
+def _pair(W: np.ndarray, s: _Slot, q: _Slot, out=None) -> np.ndarray:
+    """Block s x q of V V^T from W = R R^T by the sparse-row rule:
+    c_s c_q^T o (W[a_s, a_q] o W[b_s, b_q] + W[a_s, b_q] o W[b_s, a_q]),
+    gathered as whole rows of the column slices W[:, a_q], W[:, b_q]."""
+    Wa, Wb = W[:, q.a], W[:, q.b]
+    B = np.take(Wa, s.a, axis=0, out=out, mode="clip")
+    B *= Wb[s.b]
+    Z = Wb[s.a]
+    Z *= Wa[s.b]
+    B += Z
+    B *= s.c[:, None]
+    B *= q.c
+    return B
 
 
 class _SchurRows:
@@ -329,60 +371,52 @@ class _SchurRows:
     fixed once per solve from their sparsity.
 
     With V = [svec(R^T F_i R)]_i the block is M = V V^T + (Gn w2) Gn^T.
+    assemble() overwrites it in place in the KKT buffer, rows in the
+    program's own order; nothing is copied or reordered afterwards.
 
-    * PSD rows with at most d nonzeros in svec(F_i) are *sparse*: their part
-      of M comes straight from the NT scaling matrix W = R R^T by the
-      sparse-row rule of Fujisawa-Kojima-Nakata (SDPA) and SDPT3,
+    * Rows with 1 to d nonzeros in svec(F_i) are *sparse*: their part of M
+      comes straight from the NT scaling matrix W = R R^T by the sparse-row
+      rule of Fujisawa-Kojima-Nakata (SDPA) and SDPT3,
       ``<R^T B_k R, R^T B_l R> = s_k s_l (W_ac W_bd + W_ad W_bc)`` for svec
       basis matrices B_k, k = (a, b), l = (c, d), with s = 1/sqrt(2) on the
       diagonal and 1 off it (for unit-diagonal rows, M = W o W).  Their
       products V_i z are F_i . (R smat(z) R^T).
-    * Denser rows keep the batched congruence V_D; their arithmetic is the
-      same as without sparse rows.  The sparse x dense block is
-      G_S . svec(W F_j W).
+    * Other rows (denser, or without a PSD part) keep the batched congruence
+      V_D; their arithmetic is the same as without sparse rows.  The sparse
+      x dense block is G_S . svec(W F_j W).
     * Orthant columns with at most one nonzero (slacks) add a diagonal term
       only; other columns stay a dense product.
 
-    Sparse rows are held per "slot" t (the t-th nonzero of each row, rows
-    ordered by nonzero count so every slot covers a prefix of them), as plain
-    index arrays.  The W-entry matrix over the sparse rows' svec support J is
-    |J| x |J|; when |J| exceeds the KKT order every row is treated as dense,
-    so it is never larger than the KKT matrix.  So is every row when no
-    sparse row touches the PSD block (for example free-only rows next to the
-    dense rows of a face-reduced program).
+    Sparse rows are held per slot t (the t-th nonzero of each row that has
+    one) as a gather plan built once per solve.  Slot 0 covers every sparse
+    row; its block X o Y + Z o Z^T (X = W[a][:, a], Y = W[b][:, b],
+    Z = W[a][:, b], scaled by c c^T) is gathered as whole rows of the
+    column slices W[:, a], W[:, b] and written in place when the rows are
+    consecutive.  Each later slot adds its terms with the slots up to it as
+    row and column strips, so no block is larger than M.
     """
 
-    def __init__(self, Gp: np.ndarray, Gn: np.ndarray, Gn_coo: tuple, d: int, kkt_order: int):
+    def __init__(self, Gp: np.ndarray, Gn: np.ndarray, Gn_coo: tuple, d: int):
         self.rows = Gp.shape[0]
         counts = np.count_nonzero(Gp, axis=1)
-        order = np.argsort(-counts, kind="stable")
-        sparse = order[counts[order] <= d]
-        support = np.flatnonzero(np.any(Gp[sparse] != 0, axis=0))
-        if support.size == 0 or support.size > kkt_order:
-            sparse, support = order[:0], support[:0]
-        self.sparse = sparse
-        self.dense = np.setdiff1d(np.arange(self.rows), sparse)
-        self.Gd = Gp if sparse.size == 0 else Gp[self.dense]
-        # (sparse rows in slot order, dense rows) back to row order
-        order = np.concatenate([sparse, self.dense])
-        self.unsort = np.argsort(order) if np.any(order != np.arange(self.rows)) else None
+        sparse = (counts > 0) & (counts <= d)
+        self.sparse = np.flatnonzero(sparse)
+        self.dense = np.flatnonzero(~sparse)
+        self.dense_idx = _span(self.dense)
+        self.Gd = Gp[self.dense_idx]
         self.d = d
 
         ii, jj, scale = svec_index(d)
-        self.Ja, self.Jb = ii[support], jj[support]
-        sig = scale[support] / np.sqrt(2.0)
-        self.Jsig = np.outer(sig, sig)
-        Gs = Gp[sparse]
-        r, k = np.nonzero(Gs)
-        cs = counts[sparse]
-        slot = np.arange(r.size) - (np.cumsum(cs) - cs)[r]
+        r, k = np.nonzero(Gp[self.sparse])
+        r = self.sparse[r]
+        slot = np.arange(r.size) - np.searchsorted(r, r)
         self.slots = []
-        for t in range(int(cs.max()) if cs.size else 0):
+        for t in range(int(slot.max()) + 1 if slot.size else 0):
             on = slot == t
-            kt = k[on]
-            v = Gs[r[on], kt]
-            self.slots.append(_Slot(np.searchsorted(support, kt), kt, ii[kt], jj[kt], v,
-                                    v * scale[kt]))
+            rt, kt = r[on], k[on]
+            v = Gp[rt, kt]
+            self.slots.append(_Slot(_span(rt), kt, ii[kt], jj[kt], v,
+                                    v * scale[kt] / np.sqrt(2.0), v * scale[kt]))
 
         nr, nc, nv = Gn_coo
         col_counts = np.bincount(nc, minlength=Gn.shape[1])
@@ -391,40 +425,35 @@ class _SchurRows:
         single = col_counts[nc] == 1
         self.nn_rows, self.nn_cols, self.nn_vals = nr[single], nc[single], nv[single]
 
-    def _sparse_block(self, W: np.ndarray) -> np.ndarray:
-        """Sparse x sparse part of V V^T from W = R R^T, rows in slot order."""
-        Ja, Jb = self.Ja, self.Jb
-        WA, WB = W[Ja], W[Jb]
-        T = WA.take(Ja, axis=1) * WB.take(Jb, axis=1)
-        T += WA.take(Jb, axis=1) * WB.take(Ja, axis=1)
-        T *= self.Jsig
-        n = self.sparse.size
-        P = np.zeros((n, T.shape[0]))
-        for s in self.slots:
-            P[:s.v.size] += s.v[:, None] * T.take(s.kJ, axis=0)
-        Mss = np.zeros((n, n))
-        for s in self.slots:
-            Mss[:, :s.v.size] += P.take(s.kJ, axis=1) * s.v
-        return Mss
-
-    def scaled(self, R: np.ndarray, w2: np.ndarray):
-        """(M, Vz): the Schur block at scaling R and orthant weights w2, and
-        the map z -> V z."""
-        S, D = self.sparse, self.dense
-        VD = kernels.scaled_congruence_rows(self.Gd, R) if D.size and self.d else None
-        if S.size == 0:
-            M = VD @ VD.T if VD is not None else np.zeros((self.rows, self.rows))
-        else:
+    def assemble(self, M: np.ndarray, R: np.ndarray, w2: np.ndarray):
+        """Write the Schur block at scaling R and orthant weights w2 into M
+        (rows x rows, every entry overwritten); return the map z -> V z."""
+        D, slots = self.dense_idx, self.slots
+        VD = kernels.scaled_congruence_rows(self.Gd, R) if self.Gd.shape[0] and self.d else None
+        if VD is not None:
+            M[_block(D, D)] = VD @ VD.T
+        elif not slots:
+            M[...] = 0.0
+        if slots:
             W = R @ R.T
-            M = self._sparse_block(W)
+            s0 = slots[0]
+            if isinstance(s0.rows, slice):
+                _pair(W, s0, s0, out=M[s0.rows, s0.rows])
+            else:
+                M[np.ix_(s0.rows, s0.rows)] = _pair(W, s0, s0)
+            # each later slot's terms with the slots up to it: row and column strips
+            for u, q in enumerate(slots[1:], 1):
+                for s in slots[:u + 1]:
+                    B = _pair(W, s, q)
+                    M[_block(s.rows, q.rows)] += B
+                    if s is not q:
+                        M[_block(q.rows, s.rows)] += B.T
             if VD is not None:
                 Y = kernels.scaled_congruence_rows(self.Gd, W)
-                Msd = np.zeros((S.size, D.size))
-                for s in self.slots:
-                    Msd[:s.v.size] += s.v[:, None] * Y[:, s.k].T
-                M = np.block([[M, Msd], [Msd.T, VD @ VD.T]])
-            if self.unsort is not None:
-                M = M.take(self.unsort, axis=0).take(self.unsort, axis=1)
+                M[_block(D, s0.rows)] = Y[:, s0.k] * s0.v
+                for s in slots[1:]:
+                    M[_block(D, s.rows)] += Y[:, s.k] * s.v
+                M[_block(s0.rows, D)] = M[_block(D, s0.rows)].T
         if self.Gn_dense_cols.size:
             M += (self.Gn_dense * w2[self.Gn_dense_cols]) @ self.Gn_dense.T
         if self.nn_rows.size:
@@ -432,19 +461,17 @@ class _SchurRows:
                       (self.nn_vals * w2[self.nn_cols]) * self.nn_vals)
 
         def Vz(z: np.ndarray) -> np.ndarray:
-            if S.size == 0:
+            if not slots:
                 return VD @ z if VD is not None else np.zeros(self.rows)
-            out = np.empty(self.rows)
+            out = np.zeros(self.rows)
             if VD is not None:
                 out[D] = VD @ z
             RZ = R @ smat(z)
-            g = np.zeros(S.size)
-            for s in self.slots:
-                g[:s.v.size] += s.vs * np.einsum("ij,ij->i", RZ[s.a], R[s.b])
-            out[S] = g
+            for s in slots:
+                out[s.rows] += s.vs * np.einsum("ij,ij->i", RZ[s.a], R[s.b])
             return out
 
-        return M, Vz
+        return Vz
 
 
 class _Workspace:
@@ -491,7 +518,12 @@ class _Workspace:
         nnz = np.count_nonzero(self.Gp) + Gn_coo[0].size + np.count_nonzero(self.Gf)
         self.coo = ((_coo(self.Gp), Gn_coo, _coo(self.Gf))
                     if nnz <= self.rows + cols else None)
-        self.schur = _SchurRows(self.Gp, self.Gn, Gn_coo, self.d, self.rows + self.f)
+        self.schur = _SchurRows(self.Gp, self.Gn, Gn_coo, self.d)
+        # the KKT matrix [[M + reg I, Gf], [-Gf^T, reg I]], rows in the
+        # program's order; only M and the regularization change per iteration
+        self.K = np.zeros((self.rows + self.f, self.rows + self.f))
+        self.K[:self.rows, self.rows:] = self.Gf
+        self.K[self.rows:, :self.rows] = -self.Gf.T
 
         self.x_psd = svec(np.eye(self.d)) if self.d else np.zeros(0)
         self.x_nn = np.ones(self.p)
@@ -502,7 +534,7 @@ class _Workspace:
         self.tau = 1.0
         self.kappa = 1.0
         self.history = []
-        self.stats = dict.fromkeys(SOLVE_COUNTS, 0)
+        self.stats = _zero_stats()
         self._best = None
         self._best_metric = np.inf
 
@@ -519,6 +551,18 @@ class _Workspace:
         if self._best is not None:
             (self.x_psd, self.x_nn, self.x_f, self.y,
              self.s_psd, self.s_nn, self.tau, self.kappa) = self._best
+
+    def kkt(self, R: np.ndarray, w2: np.ndarray):
+        """(K, Vz): the KKT matrix at scaling R and orthant weights w2,
+        assembled in place in self.K, and the map z -> V z."""
+        K, rows = self.K, self.rows
+        M = K[:rows, :rows]
+        Vz = self.schur.assemble(M, R, w2)
+        reg = KKT_REGULARIZATION * max(1.0, max(M.max(), -M.min()) if rows else 1.0)
+        diag = K.reshape(-1)[::K.shape[0] + 1]
+        diag[:rows] += reg
+        diag[rows:] = reg
+        return K, Vz
 
     # -- products with the normalized rows -----------------------------
 
@@ -780,6 +824,7 @@ def _presolve_unbounded_solution(orig: ConicProgram, work: ConicProgram, ray_f) 
         iters=0,
         residuals=(np.nan, np.nan, np.nan),
         ray=ray,
+        stats=_zero_stats("presolve_unbounded"),
     )
 
 
@@ -806,13 +851,14 @@ def _presolve_infeasible_solution(orig: ConicProgram, pre: PresolveResult) -> Co
         residuals=(np.nan, np.nan, np.nan),
         ray=ray,
         dropped_rows=pre.dropped_rows,
+        stats=_zero_stats("presolve_infeasible"),
     )
 
 
 def _iterate(ws: _Workspace):
     """Main predictor-corrector loop; returns (status, ray_certificate_or_None)."""
     st = ws.settings
-    d, p, f, rows = ws.d, ws.p, ws.f, ws.rows
+    d, p, rows = ws.d, ws.p, ws.rows
     stalls = 0
     best_each = np.full(4, np.inf)
     no_progress = 0
@@ -830,18 +876,17 @@ def _iterate(ws: _Workspace):
         dres = _inf_norm(rd_psd, rd_nn, rd_f) / (tau * (1.0 + ws.cnorm))
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         ws.history.append(IterateRecord(it, pobj, pobj - gap_mu, gap_mu, pres, dres))
-        if st.verbosity >= 1:
-            print(f"iter {it:3d}  pobj {pobj:+.9e}  dobj {pobj - gap_mu:+.9e}  "
-                  f"gap {gap_mu:9.3e}  pres {pres:9.3e}  dres {dres:9.3e}")
+        log.debug("iter %3d  pobj %+.9e  dobj %+.9e  gap %9.3e  pres %9.3e  dres %9.3e",
+                  it, pobj, pobj - gap_mu, gap_mu, pres, dres)
 
         gap_mu_rel = gap_mu / (1.0 + abs(pobj) + abs(dobj))
         if (pres <= st.tol_feas and dres <= st.tol_feas
                 and gap_rel <= st.tol_gap and gap_mu_rel <= st.tol_gap):
-            return STATUS_OPTIMAL, None
+            return _stop(ws, "optimal", STATUS_OPTIMAL)
 
         cert = _certificate_scan(ws, cx, by)
         if cert is not None:
-            return cert
+            return _stop(ws, "certificate", *cert)
 
         metrics = np.array([pres, dres, gap_rel, gap_mu_rel])
         ws.snapshot_if_best(float(metrics.max()))
@@ -850,12 +895,10 @@ def _iterate(ws: _Workspace):
         else:
             no_progress += 1
             if no_progress >= 30:  # nothing improved for 30 iterations
-                ws.restore_best()
-                return STATUS_NUMERICAL_TROUBLE, None
+                return _stop(ws, "no_progress")
         best_each = np.minimum(best_each, metrics)
         if mu <= 0:
-            ws.restore_best()
-            return STATUS_NUMERICAL_TROUBLE, None
+            return _stop(ws, "mu_nonpositive")
 
         # Nesterov-Todd scalings
         if d:
@@ -870,20 +913,12 @@ def _iterate(ws: _Workspace):
         w_nn = np.sqrt(ws.x_nn / ws.s_nn)
         w2 = w_nn**2
 
-        M, Vz = ws.schur.scaled(R, w2)
-        K = np.zeros((rows + f, rows + f))
-        K[:rows, :rows] = M
-        K[:rows, rows:] = ws.Gf
-        K[rows:, :rows] = -ws.Gf.T
-        reg = KKT_REGULARIZATION * max(1.0, np.abs(M).max() if rows else 1.0)
-        K[np.arange(rows), np.arange(rows)] += reg
-        K[np.arange(rows, rows + f), np.arange(rows, rows + f)] += reg
+        K, Vz = ws.kkt(R, w2)
         ws.stats["kkt_factorizations"] += 1
         try:
             lu = scipy.linalg.lu_factor(K)
         except (scipy.linalg.LinAlgError, ValueError):
-            ws.restore_best()
-            return STATUS_NUMERICAL_TROUBLE, None
+            return _stop(ws, "factor_failed")
 
         u = Vz(c_ps) + ws.matvec(w2 * ws.c_nn)
         theta_c = float(c_ps @ c_ps + (w_nn * ws.c_nn) @ (w_nn * ws.c_nn))
@@ -891,8 +926,7 @@ def _iterate(ws: _Workspace):
         z2 = _solve_refined(K, lu, np.concatenate([u + ws.b, -ws.c_f]), ws.stats)
         denom = theta_c + kappa / tau + float(q @ z2)
         if not np.isfinite(denom) or denom <= 0:
-            ws.restore_best()
-            return STATUS_NUMERICAL_TROUBLE, None
+            return _stop(ws, "bad_denominator")
 
         if d:
             lam_outer = 2.0 / np.add.outer(lam, lam)
@@ -982,8 +1016,7 @@ def _iterate(ws: _Workspace):
         # predictor
         aff = direction(0.0, np.zeros((d, d)) if d else None, np.zeros(p), 0.0)
         if not all(np.isfinite(v).all() for v in aff):
-            ws.restore_best()
-            return STATUS_NUMERICAL_TROUBLE, None
+            return _stop(ws, "nonfinite_direction")
         dxp_a, dxn_a, dxf_a, dy_a, dsp_a, dsn_a, dtau_a, dkap_a = aff
         a_aff = min(1.0, max_step(dxp_a, dxn_a, dsp_a, dsn_a, dtau_a, dkap_a))
         mu_aff = (
@@ -1005,15 +1038,13 @@ def _iterate(ws: _Workspace):
 
         comb = direction(sigma, corr_mat if d else None, corr_nn, corr_tk)
         if not all(np.isfinite(v).all() for v in comb):
-            ws.restore_best()
-            return STATUS_NUMERICAL_TROUBLE, None
+            return _stop(ws, "nonfinite_direction")
         dxp, dxn, dxf, dy, dsp, dsn, dtau, dkap = comb
         alpha = min(1.0, FRACTION_TO_BOUNDARY * max_step(dxp, dxn, dsp, dsn, dtau, dkap))
         if alpha < 1e-10:
             stalls += 1
             if stalls >= 3:
-                ws.restore_best()
-                return STATUS_NUMERICAL_TROUBLE, None
+                return _stop(ws, "step_stall")
         else:
             stalls = 0
 
@@ -1026,11 +1057,18 @@ def _iterate(ws: _Workspace):
         ws.tau = tau + alpha * dtau
         ws.kappa = kappa + alpha * dkap
         if ws.tau <= 0 or ws.kappa <= 0:
-            ws.restore_best()
-            return STATUS_NUMERICAL_TROUBLE, None
+            return _stop(ws, "tau_kappa_nonpositive")
 
-    ws.restore_best()
-    return STATUS_ITERATION_LIMIT, None
+    return _stop(ws, "iteration_limit", STATUS_ITERATION_LIMIT)
+
+
+def _stop(ws: _Workspace, reason: str, status: str = STATUS_NUMERICAL_TROUBLE, ray=None):
+    """End the loop: record the reason in stats["stop_reason"]; a numerical
+    stop or the iteration limit falls back to the best iterate seen."""
+    ws.stats["stop_reason"] = reason
+    if status in (STATUS_NUMERICAL_TROUBLE, STATUS_ITERATION_LIMIT):
+        ws.restore_best()
+    return status, ray
 
 
 def _certificate_scan(ws: _Workspace, cx: float, by: float):

@@ -60,6 +60,12 @@ def test_solve_report_has_solve_counts(capsys):
     assert set(json.loads(stdout)["stats"].values()) == {0}
 
 
+def test_solve_report_has_stop_reason(capsys):
+    for relax_name, reason in (("sdr1", "optimal"), ("sdr", "presolve_unbounded")):
+        _, stdout, _ = run(capsys, "solve", TIGHT, "--relax", relax_name)
+        assert json.loads(stdout)["stop_reason"] == reason
+
+
 def test_solve_tight_sdr_unbounded_exit_3(capsys):
     code, stdout, _ = run(capsys, "solve", TIGHT, "--relax", "sdr")
     assert code == 3

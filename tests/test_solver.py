@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bqrelax import kernels, solver
+from bqrelax import equivalence, kernels, solver
 from bqrelax.model import BqpInstance, MaxCutGraph, generate_instance, random_graph
 from bqrelax.relax import (
     ConicProgram,
@@ -103,6 +103,28 @@ def test_iteration_limit_status():
     sol = solve(prog, SolverSettings(max_iters=2))
     assert sol.status == STATUS_ITERATION_LIMIT
     assert sol.iters == 2
+
+
+def test_stop_reason_names_the_exit(ex_tight):
+    prog, _ = build_sdr1(ex_tight)
+    cases = [
+        (prog, SolverSettings(), STATUS_OPTIMAL, "optimal"),
+        (prog, SolverSettings(max_iters=1), STATUS_ITERATION_LIMIT, "iteration_limit"),
+        (lp([0.0], [[1.0]], [-1.0]), SolverSettings(), STATUS_INFEASIBLE, "certificate"),
+        (lp([1.0], [[1.0], [1.0]], [1.0, 2.0]), SolverSettings(), STATUS_INFEASIBLE,
+         "presolve_infeasible"),
+        (build_sdr(ex_tight)[0], SolverSettings(), STATUS_UNBOUNDED, "presolve_unbounded"),
+    ]
+    for prog, settings, status, reason in cases:
+        sol = solve(prog, settings)
+        assert (sol.status, sol.stats["stop_reason"]) == (status, reason)
+
+
+def test_stop_reason_of_a_desk_stall():
+    # a NumericalTrouble solve of the bqp-desk benchmark workload (seed 2)
+    sol = solve(build_dnnp(generate_instance("RdiBQP", 12, 5, seed=33))[0])
+    assert sol.status == solver.STATUS_NUMERICAL_TROUBLE
+    assert sol.stats["stop_reason"] == "mu_nonpositive"
 
 
 def test_settings_validation():
@@ -375,11 +397,11 @@ def test_optimal_cone_margins(ex_tight):
     assert sol.primal_nonneg.min() >= -1e-6
 
 
-def test_per_iteration_log_lines(ex_tight, capsys):
+def test_per_iteration_log_lines(ex_tight, caplog):
     prog, _ = build_sdr1(ex_tight)
-    solve(prog, SolverSettings(verbosity=1))
-    out = capsys.readouterr().out
-    lines = [ln for ln in out.splitlines() if ln.startswith("iter")]
+    with caplog.at_level(logging.DEBUG, logger="bqrelax.solver"):
+        solve(prog)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iter")]
     assert len(lines) >= 3
     # stable column order: iter, pobj, dobj, gap, pres, dres
     assert lines[0].split()[0] == "iter"
@@ -414,15 +436,35 @@ def test_schur_block_matches_congruence_reference(name):
     else:  # sparse and dense rows both present: the cross block is exercised
         assert rows.sparse.size and rows.dense.size
     rng = np.random.default_rng(7)
-    for _ in range(3):
+    for _ in range(3):  # one KKT buffer per solve: nothing may carry over
         R = rng.standard_normal((ws.d, ws.d))
         w2 = rng.uniform(0.1, 2.0, ws.p)
-        M, Vz = rows.scaled(R, w2)
+        K, Vz = ws.kkt(R, w2)
         V = kernels.scaled_congruence_rows(ws.Gp, R)
-        ref = V @ V.T + (ws.Gn * w2) @ ws.Gn.T
-        assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+        M = V @ V.T + (ws.Gn * w2) @ ws.Gn.T
+        reg = solver.KKT_REGULARIZATION * max(1.0, np.abs(M).max())
+        ref = np.block([[M, ws.Gf], [-ws.Gf.T, np.zeros((ws.f, ws.f))]])
+        ref += reg * np.eye(ws.rows + ws.f)
+        assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
         z = rng.standard_normal(V.shape[1])
         assert np.abs(Vz(z) - V @ z).max() <= 1e-12 * np.abs(V @ z).max()
+
+
+def test_maxcut_thm4_graph_keeps_verdict_and_iterations(monkeypatch):
+    # one graph of the maxcut-thm4 benchmark workload; the iteration counts
+    # are those of the assembly that built M apart and copied it into K
+    iters = []
+    real = equivalence.solve
+
+    def counted(prog, settings):
+        sol = real(prog, settings)
+        iters.append(sol.iters)
+        return sol
+
+    monkeypatch.setattr(equivalence, "solve", counted)
+    rep = equivalence.verify_theorem4(random_graph(40, seed=24, density=0.6))
+    assert rep.verdict == "pass"
+    assert iters == [13, 14]
 
 
 def count_congruence_calls(monkeypatch):
@@ -525,6 +567,38 @@ def test_presolve_matches_full_qr(name):
     assert pre.program.n_rows == prog.n_rows - len(pre.dropped_rows)
     if name.endswith("-face"):  # the builder already dropped the rows the face implies
         assert pre.dropped_rows == []
+
+
+def copied_kkt(ws, R, w2):
+    """The KKT matrix built the earlier way: M assembled on its own, copied
+    into a zeroed K, the regularization taken from np.abs(M)."""
+    rows, f, sch = ws.rows, ws.f, ws.schur
+    V = kernels.scaled_congruence_rows(ws.Gp, R)
+    M = V @ V.T
+    if sch.Gn_dense_cols.size:
+        M += (sch.Gn_dense * w2[sch.Gn_dense_cols]) @ sch.Gn_dense.T
+    if sch.nn_rows.size:
+        np.add.at(M, (sch.nn_rows, sch.nn_rows), (sch.nn_vals * w2[sch.nn_cols]) * sch.nn_vals)
+    K = np.zeros((rows + f, rows + f))
+    K[:rows, :rows] = M
+    K[:rows, rows:] = ws.Gf
+    K[rows:, :rows] = -ws.Gf.T
+    reg = solver.KKT_REGULARIZATION * max(1.0, np.abs(M).max() if rows else 1.0)
+    K[np.arange(rows), np.arange(rows)] += reg
+    K[np.arange(rows, rows + f), np.arange(rows, rows + f)] += reg
+    return K
+
+
+@pytest.mark.parametrize("name", sorted(FACE_PROGRAMS))
+def test_dense_rows_kkt_is_bit_identical_to_the_copied_assembly(name):
+    ws = _Workspace(presolve_rank_check(FACE_PROGRAMS[name](), quiet=True).program,
+                    SolverSettings())
+    assert ws.schur.slots == [] and ws.schur.dense.size == ws.rows
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        R = rng.standard_normal((ws.d, ws.d))
+        w2 = rng.uniform(0.1, 2.0, ws.p)
+        np.testing.assert_array_equal(ws.kkt(R, w2)[0], copied_kkt(ws, R, w2))
 
 
 def with_A(inst, A, b):
@@ -869,10 +943,11 @@ def test_solve_counts_on_a_direct_solve_and_a_short_circuit(ex_tight):
     assert sol.status == STATUS_OPTIMAL
     assert sol.stats == {"kkt_factorizations": sol.iters - 1,
                          "kkt_solves": 21 * (sol.iters - 1),
-                         "psd_step_solves": 8 * (sol.iters - 1)}
+                         "psd_step_solves": 8 * (sol.iters - 1),
+                         "stop_reason": "optimal"}
     sol = solve(build_sdr(ex_tight)[0])
     assert sol.status == STATUS_UNBOUNDED and sol.iters == 0
-    assert sol.stats == zero_stats()
+    assert sol.stats == {**zero_stats(), "stop_reason": "presolve_unbounded"}
 
 
 def test_solve_counts_are_the_scipy_linalg_calls(monkeypatch):
