@@ -28,13 +28,19 @@ EXIT_NOT_APPLICABLE = 6
 
 
 def _settings(args) -> solver.SolverSettings:
+    """Solver settings from --tol (else BQRELAX_TOL) and --max-iters; a value
+    the settings reject is a usage error."""
     tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("BQRELAX_TOL", "1e-8"))
-    return solver.SolverSettings(
-        tol_gap=tol, tol_feas=tol, tol_infeas=min(tol, 1e-8),
-        max_iters=args.max_iters,
-    )
+    try:
+        if tol is None:
+            tol = float(os.environ.get("BQRELAX_TOL", "1e-8"))
+        return solver.SolverSettings(
+            tol_gap=tol, tol_feas=tol, tol_infeas=min(tol, 1e-8),
+            max_iters=args.max_iters,
+        )
+    except ValueError as exc:
+        print(f"error: bad solver settings: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _load_instance(path):

@@ -220,11 +220,46 @@ def _usable(sol: ConicSolution) -> tuple[bool, str]:
     return False, f"solver status {sol.status}"
 
 
-def _not_applicable(a, b, why) -> EquivalenceReport:
+def _verify(built_a, built_b, transport, tol: float,
+            settings: SolverSettings | None) -> EquivalenceReport:
+    """The body of both theorem checks.  Solve relaxations A and B, given as
+    their builders' (program, variable map); unless both solves are usable,
+    the verdict is not_applicable.  transport(a, b) takes the extracted
+    optima and returns the violations of A's optimum mapped into B's space,
+    B's objective there, and the same the other way round."""
+    settings = settings or THEOREM_SETTINGS
+    (prog_a, vm_a), (prog_b, vm_b) = built_a, built_b
+    sol_a = solve(prog_a, settings)
+    sol_b = solve(prog_b, settings)
+    ok_a, note_a = _usable(sol_a)
+    ok_b, note_b = _usable(sol_b)
+    detail = "; ".join(filter(None, [note_a, note_b]))
+    opt_a, opt_b = sol_a.primal_obj, sol_b.primal_obj
+    if not (ok_a and ok_b):
+        return EquivalenceReport(
+            opt_a=opt_a, opt_b=opt_b, mapped_feasible_ab=False, mapped_feasible_ba=False,
+            objective_match_ab=False, objective_match_ba=False,
+            max_violation=np.nan, verdict="not_applicable", detail=detail,
+        )
+
+    viol_ab, obj_ab_val, viol_ba, obj_ba_val = transport(
+        vm_a.extract(sol_a.primal_psd, sol_a.primal_nonneg, sol_a.primal_free),
+        vm_b.extract(sol_b.primal_psd, sol_b.primal_nonneg, sol_b.primal_free))
+
+    scale = 1.0 + abs(opt_a)
+    obj_ab = abs(obj_ab_val - opt_a) <= tol * scale
+    obj_ba = abs(obj_ba_val - opt_b) <= tol * (1.0 + abs(opt_b))
+    opt_match = abs(opt_a - opt_b) <= tol * scale
+
+    viols = viol_ab + viol_ba
+    max_v = max((v for _, v in viols), default=0.0)
+    verdict = "pass" if (not viols and obj_ab and obj_ba and opt_match) else "fail"
     return EquivalenceReport(
-        opt_a=a, opt_b=b, mapped_feasible_ab=False, mapped_feasible_ba=False,
-        objective_match_ab=False, objective_match_ba=False,
-        max_violation=np.nan, verdict="not_applicable", detail=why,
+        opt_a=opt_a, opt_b=opt_b,
+        mapped_feasible_ab=not viol_ab, mapped_feasible_ba=not viol_ba,
+        objective_match_ab=obj_ab, objective_match_ba=obj_ba,
+        max_violation=max_v, verdict=verdict, detail=detail,
+        violations=viols,
     )
 
 
@@ -233,89 +268,31 @@ def verify_theorem3(inst: BqpInstance, tol: float = DEFAULT_EQUIV_TOL,
     """Solve the cut-strengthened SDR and the DNN relaxation, map each optimum
     into the other space, and check feasibility plus objective transport both
     ways; pass iff everything holds at tol and the optima agree."""
-    settings = settings or THEOREM_SETTINGS
-    prog_a, vm_a = build_sdr2(inst)
-    prog_b, vm_b = build_dnnp(inst)
-    sol_a = solve(prog_a, settings)
-    sol_b = solve(prog_b, settings)
-    ok_a, note_a = _usable(sol_a)
-    ok_b, note_b = _usable(sol_b)
-    if not (ok_a and ok_b):
-        return _not_applicable(sol_a.primal_obj, sol_b.primal_obj,
-                               "; ".join(filter(None, [note_a, note_b])))
 
-    xa, Xa = vm_a.extract(sol_a.primal_psd, sol_a.primal_nonneg, sol_a.primal_free)
-    zb, Zb = vm_b.extract(sol_b.primal_psd, sol_b.primal_nonneg, sol_b.primal_free)
-    pa = PointXX(x=xa, X=Xa)
-    pb = PointZZ(z=zb, Z=Zb)
+    def transport(a, b):
+        mapped_b = sdr2_to_dnnp_point(PointXX(*a))       # optimal of A pushed into B's space
+        mapped_a = dnnp_to_sdr2_point(PointZZ(*b))
+        return (check_feasibility("dnnp", mapped_b, inst, tol), dnnp_objective(inst, mapped_b),
+                check_feasibility("sdr2", mapped_a, inst, tol),
+                bqp_relaxation_objective(inst, mapped_a))
 
-    mapped_b = sdr2_to_dnnp_point(pa)       # optimal of A pushed into B's space
-    mapped_a = dnnp_to_sdr2_point(pb)
-
-    viol_ab = check_feasibility("dnnp", mapped_b, inst, tol)
-    viol_ba = check_feasibility("sdr2", mapped_a, inst, tol)
-
-    opt_a, opt_b = sol_a.primal_obj, sol_b.primal_obj
-    scale = 1.0 + abs(opt_a)
-    obj_ab = abs(dnnp_objective(inst, mapped_b) - opt_a) <= tol * scale
-    obj_ba = abs(bqp_relaxation_objective(inst, mapped_a) - opt_b) <= tol * (1.0 + abs(opt_b))
-    opt_match = abs(opt_a - opt_b) <= tol * scale
-
-    viols = viol_ab + viol_ba
-    max_v = max((v for _, v in viols), default=0.0)
-    verdict = "pass" if (not viols and obj_ab and obj_ba and opt_match) else "fail"
-    return EquivalenceReport(
-        opt_a=opt_a, opt_b=opt_b,
-        mapped_feasible_ab=not viol_ab, mapped_feasible_ba=not viol_ba,
-        objective_match_ab=obj_ab, objective_match_ba=obj_ba,
-        max_violation=max_v, verdict=verdict,
-        detail="; ".join(filter(None, [note_a, note_b])),
-        violations=viols,
-    )
+    # builders and solve are looked up at call time, so wrapping the module
+    # attributes (as a tracer does) sees every call
+    return _verify(build_sdr2(inst), build_dnnp(inst), transport, tol, settings)
 
 
 def verify_theorem4(G: MaxCutGraph, tol: float = DEFAULT_EQUIV_TOL,
                     settings: SolverSettings | None = None) -> EquivalenceReport:
     """Max-cut analogue of verify_theorem3 (both feasible sets are always
     nonempty: the identity matrix and the zero point)."""
-    settings = settings or THEOREM_SETTINGS
-    prog_a, vm_a = build_mc_sdr(G)
-    prog_b, vm_b = build_mc_dnnp(G)
-    sol_a = solve(prog_a, settings)
-    sol_b = solve(prog_b, settings)
-    ok_a, note_a = _usable(sol_a)
-    ok_b, note_b = _usable(sol_b)
-    if not (ok_a and ok_b):
-        return _not_applicable(sol_a.primal_obj, sol_b.primal_obj,
-                               "; ".join(filter(None, [note_a, note_b])))
 
-    _, U = vm_a.extract(sol_a.primal_psd, sol_a.primal_nonneg, sol_a.primal_free)
-    xb, Xb = vm_b.extract(sol_b.primal_psd, sol_b.primal_nonneg, sol_b.primal_free)
-    pb = PointXX(x=xb, X=Xb)
+    def transport(a, b):
+        mapped_b = mc_sdr_to_dnnp_point(a[1])
+        mapped_a = mc_dnnp_to_sdr_point(PointXX(*b))
+        return (check_feasibility("mc_dnnp", mapped_b, G, tol), mc_dnnp_objective(G, mapped_b),
+                check_feasibility("mc_sdr", mapped_a, G, tol), mc_sdr_objective(G, mapped_a))
 
-    mapped_b = mc_sdr_to_dnnp_point(U)
-    mapped_a = mc_dnnp_to_sdr_point(pb)
-
-    viol_ab = check_feasibility("mc_dnnp", mapped_b, G, tol)
-    viol_ba = check_feasibility("mc_sdr", mapped_a, G, tol)
-
-    opt_a, opt_b = sol_a.primal_obj, sol_b.primal_obj
-    scale = 1.0 + abs(opt_a)
-    obj_ab = abs(mc_dnnp_objective(G, mapped_b) - opt_a) <= tol * scale
-    obj_ba = abs(mc_sdr_objective(G, mapped_a) - opt_b) <= tol * (1.0 + abs(opt_b))
-    opt_match = abs(opt_a - opt_b) <= tol * scale
-
-    viols = viol_ab + viol_ba
-    max_v = max((v for _, v in viols), default=0.0)
-    verdict = "pass" if (not viols and obj_ab and obj_ba and opt_match) else "fail"
-    return EquivalenceReport(
-        opt_a=opt_a, opt_b=opt_b,
-        mapped_feasible_ab=not viol_ab, mapped_feasible_ba=not viol_ba,
-        objective_match_ab=obj_ab, objective_match_ba=obj_ba,
-        max_violation=max_v, verdict=verdict,
-        detail="; ".join(filter(None, [note_a, note_b])),
-        violations=viols,
-    )
+    return _verify(build_mc_sdr(G), build_mc_dnnp(G), transport, tol, settings)
 
 
 def rank_one_certificate(p: PointXX, tol: float = 1e-6) -> dict:

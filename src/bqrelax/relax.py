@@ -361,6 +361,24 @@ def build_zspace(inst: BqpInstance) -> ZSpaceData:
     )
 
 
+def _dnn_link_rows(bld, d):
+    """Y00 = 1 and Y_ii = Y_0i (i >= 1) of a lifted DNN block of order d."""
+    bld.add_row(psd_mat=_e_diag(d, 0), rhs=1.0)
+    for i in range(1, d):
+        bld.add_row(psd_mat=_e_diag(d, i) + _vec_coupling_entry(d, i, -1.0), rhs=0.0)
+
+
+def _entrywise_rows(bld, d):
+    """Y_ij - s_k = 0 for every upper-triangular entry, with its own slack s_k >= 0."""
+    k = 0
+    for i in range(d):
+        for j in range(i, d):
+            slack = np.zeros(bld.p)
+            slack[k] = -1.0
+            bld.add_row(psd_mat=_sym_pair(d, i, j), nn=slack, rhs=0.0)
+            k += 1
+
+
 def build_dnnp(inst: BqpInstance):
     """Doubly nonnegative relaxation in z-space.
 
@@ -373,27 +391,15 @@ def build_dnnp(inst: BqpInstance):
     p = (n + 1) * (n + 2) // 2
     zs = build_zspace(inst)
     bld = _Builder("min", d, p, 0, "dnnp")
-    bld.add_row(psd_mat=_e_diag(d, 0), rhs=1.0)
-    for i in range(n):
-        F = _e_diag(d, 1 + i) + _vec_coupling_entry(d, 1 + i, -1.0)
-        bld.add_row(psd_mat=F, rhs=0.0)
+    _dnn_link_rows(bld, d)
     for i in range(m):
         bld.add_row(psd_mat=_vec_coupling(d, zs.Az[i]), rhs=zs.bz[i])
     for i in range(m):
         F = np.zeros((d, d))
         F[1:, 1:] = 4.0 * np.outer(inst.A[i], inst.A[i])
         bld.add_row(psd_mat=F, rhs=zs.bz[i] ** 2)
-    k = 0
-    for i in range(d):
-        for j in range(i, d):
-            slack = np.zeros(p)
-            slack[k] = -1.0
-            bld.add_row(psd_mat=_sym_pair(d, i, j), nn=slack, rhs=0.0)
-            k += 1
-    C = np.zeros((d, d))
-    C[1:, 1:] = 4.0 * inst.Q
-    C[0, 1:] = zs.qz / 2.0
-    C[1:, 0] = zs.qz / 2.0
+    _entrywise_rows(bld, d)
+    C = _lifted_objective(4.0 * inst.Q, zs.qz / 2.0)
     prog = bld.finish(C, None, None, zs.constz, _lifted_face(zs.Az, zs.bz, 1 + n))
     return prog, VariableMap(kind="lifted", n=n, space="z")
 
@@ -421,23 +427,10 @@ def build_mc_dnnp(G: MaxCutGraph):
     L = laplacian(G)
     Le = L @ np.ones(n)
     bld = _Builder("max", d, p, 0, "mc_dnnp")
-    bld.add_row(psd_mat=_e_diag(d, 0), rhs=1.0)
-    for i in range(n):
-        F = _e_diag(d, 1 + i) + _vec_coupling_entry(d, 1 + i, -1.0)
-        bld.add_row(psd_mat=F, rhs=0.0)
-    k = 0
-    for i in range(d):
-        for j in range(i, d):
-            slack = np.zeros(p)
-            slack[k] = -1.0
-            bld.add_row(psd_mat=_sym_pair(d, i, j), nn=slack, rhs=0.0)
-            k += 1
-    C = np.zeros((d, d))
-    C[1:, 1:] = L
-    C[0, 1:] = -Le / 2.0
-    C[1:, 0] = -Le / 2.0
+    _dnn_link_rows(bld, d)
+    _entrywise_rows(bld, d)
     offset = float(np.ones(n) @ L @ np.ones(n)) / 4.0
-    prog = bld.finish(C, None, None, offset)
+    prog = bld.finish(_lifted_objective(L, -Le / 2.0), None, None, offset)
     return prog, VariableMap(kind="lifted", n=n, space="x")
 
 

@@ -42,7 +42,10 @@ factored once by LU; 21 refined back-solves use the factors, and the
 step-length search uses the Cholesky factors of X and S that the NT scaling
 computed.  Inputs already known to be finite skip scipy's finiteness checks.
 ConicSolution.stats counts the factorizations and both kinds of solves, and
-its stop_reason names the exit the solve took.
+its stop_reason names the exit the solve took.  An empty block (no PSD block
+in an LP, no orthant, no free part) takes the same path as any other, as
+0 x 0 and length-0 arrays; only the PSD step length and the cone checks ask
+whether there is a PSD block.
 """
 
 import dataclasses
@@ -81,7 +84,7 @@ class SolverSettings:
     max_iters: int = 200
 
     def __post_init__(self):
-        if min(self.tol_gap, self.tol_feas, self.tol_infeas) <= 0:
+        if not all(t > 0 for t in (self.tol_gap, self.tol_feas, self.tol_infeas)):  # rejects NaN too
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -503,13 +506,8 @@ class _Workspace:
         self.b = prog.rhs / self.row_scale
         self.rows = prog.n_rows
         self.nu = self.d + self.p
-        self.cnorm = max(
-            np.abs(self.c_psd).max() if self.d else 0.0,
-            np.abs(self.c_nn).max() if self.p else 0.0,
-            np.abs(self.c_f).max() if self.f else 0.0,
-            0.0,
-        )
-        self.bnorm = np.abs(self.b).max() if self.rows else 0.0
+        self.cnorm = _inf_norm(self.c_psd, self.c_nn, self.c_f)
+        self.bnorm = _inf_norm(self.b)
         # G x and G^T y: from (row, col, value) triples when the rows hold no
         # more nonzeros than rows + columns (the max-cut programs, with one to
         # three per row), else the dense blocks (face-reduced programs)
@@ -525,11 +523,11 @@ class _Workspace:
         self.K[:self.rows, self.rows:] = self.Gf
         self.K[self.rows:, :self.rows] = -self.Gf.T
 
-        self.x_psd = svec(np.eye(self.d)) if self.d else np.zeros(0)
+        self.x_psd = svec(np.eye(self.d))
         self.x_nn = np.ones(self.p)
         self.x_f = np.zeros(self.f)
         self.y = np.zeros(self.rows)
-        self.s_psd = svec(np.eye(self.d)) if self.d else np.zeros(0)
+        self.s_psd = svec(np.eye(self.d))
         self.s_nn = np.ones(self.p)
         self.tau = 1.0
         self.kappa = 1.0
@@ -645,18 +643,21 @@ def _solve_direct(prog: ConicProgram, settings: SolverSettings,
                   quiet_presolve: bool = False) -> ConicSolution:
     pre = presolve_rank_check(prog, quiet=quiet_presolve)
     if pre.infeasible:
-        return _presolve_infeasible_solution(prog, pre)
+        return _short_circuit(prog, STATUS_INFEASIBLE, _dual_ray(prog, pre.farkas_y),
+                              "presolve_infeasible", np.nan, pre.dropped_rows)
     work_prog = pre.program
 
     ray = _free_block_unbounded_ray(work_prog)
     if ray is not None:
-        sol = _presolve_unbounded_solution(prog, work_prog, ray)
-        sol.dropped_rows = pre.dropped_rows
-        return sol
+        d = prog.psd_order
+        ray = RayCertificate(kind="primal", psd=np.zeros((d, d)),
+                             nonneg=np.zeros(prog.nonneg_count), free=ray)
+        return _short_circuit(prog, STATUS_UNBOUNDED, ray, "presolve_unbounded",
+                              -np.inf if prog.sense == "min" else np.inf, pre.dropped_rows)
 
     ws = _Workspace(work_prog, settings)
     status, ray_cert = _iterate(ws)
-    return _assemble(prog, work_prog, pre, ws, status, ray_cert)
+    return _assemble(prog, pre, ws, status, ray_cert)
 
 
 def _solve_facial(prog: ConicProgram, settings: SolverSettings) -> ConicSolution:
@@ -713,47 +714,22 @@ def _solve_facial(prog: ConicProgram, settings: SolverSettings) -> ConicSolution
     t = _face_shift(base, W, -1e-9, scale / 16.0, 2.0, 1e12 * scale)
     s_mat = base + t * W
     y = y - t * lam_face
-    # orthant dual slack from the reduced solve: nonnegative by construction,
-    # consistent with y up to the reduced solve's dual residual
-    s_nn = inner.dual_slack_nonneg
 
     ray_cert = inner.ray
     if ray_cert is not None and ray_cert.kind == "primal":
-        ray_cert = RayCertificate(
-            kind="primal",
-            psd=V @ ray_cert.psd @ V.T,
-            nonneg=ray_cert.nonneg,
-            free=ray_cert.free,
-        )
+        ray_cert = dataclasses.replace(ray_cert, psd=V @ ray_cert.psd @ V.T)
     elif ray_cert is not None and ray_cert.kind == "dual":
         yr = lift_y(ray_cert.y)
         sr = -prog.G_psd.T @ yr
         scale = max(1.0, _inf_norm(sr))
         yr = yr - _face_shift(smat(sr), W, -1e-12, scale, 4.0, 1e15 * scale) * lam_face
-        ray_cert = RayCertificate(
-            kind="dual",
-            y=yr,
-            slack_psd=smat(-prog.G_psd.T @ yr),
-            slack_nonneg=-prog.G_nonneg.T @ yr,
-        )
+        ray_cert = _dual_ray(prog, yr)
 
-    return ConicSolution(
-        status=inner.status,
-        primal_psd=X_full,
-        primal_nonneg=inner.primal_nonneg,
-        primal_free=inner.primal_free,
-        dual_y=y,
-        dual_slack_psd=s_mat,
-        dual_slack_nonneg=s_nn,
-        primal_obj=inner.primal_obj,
-        dual_obj=inner.dual_obj,
-        iters=inner.iters,
-        residuals=inner.residuals,
-        ray=ray_cert,
-        history=inner.history,
-        dropped_rows=sorted(face.implied.tolist() + keep[inner.dropped_rows].tolist()),
-        stats=inner.stats,
-    )
+    # the orthant dual slack stays the reduced solve's: nonnegative by
+    # construction, consistent with y up to the reduced solve's dual residual
+    return dataclasses.replace(
+        inner, primal_psd=X_full, dual_y=y, dual_slack_psd=s_mat, ray=ray_cert,
+        dropped_rows=sorted(face.implied.tolist() + keep[inner.dropped_rows].tolist()))
 
 
 def _face_shift(S: np.ndarray, W: np.ndarray, floor: float, step: float, grow: float,
@@ -793,65 +769,42 @@ def _free_block_unbounded_ray(prog: ConicProgram):
         return None
     sgn = 1.0 if prog.sense == "min" else -1.0
     c_f = sgn * prog.obj_free
-    if prog.n_rows == 0:
-        r = c_f.copy()
-    else:
-        ylsq, *_ = np.linalg.lstsq(prog.G_free.T, c_f, rcond=None)
-        r = c_f - prog.G_free.T @ ylsq
+    ylsq, *_ = np.linalg.lstsq(prog.G_free.T, c_f, rcond=None)
+    r = c_f - prog.G_free.T @ ylsq
     if np.abs(r).max() <= FREE_DUAL_RESIDUAL_REL * (1.0 + np.abs(c_f).max()):
         return None
     return -r / float(r @ r)  # objective value exactly -1 on the ray
 
 
-def _presolve_unbounded_solution(orig: ConicProgram, work: ConicProgram, ray_f) -> ConicSolution:
-    d = orig.psd_order
-    ray = RayCertificate(
-        kind="primal",
-        psd=np.zeros((d, d)),
-        nonneg=np.zeros(orig.nonneg_count),
-        free=ray_f,
-    )
-    return ConicSolution(
-        status=STATUS_UNBOUNDED,
-        primal_psd=np.zeros((d, d)),
-        primal_nonneg=np.zeros(orig.nonneg_count),
-        primal_free=np.zeros(orig.free_count),
-        dual_y=np.zeros(orig.n_rows),
-        dual_slack_psd=np.zeros((d, d)),
-        dual_slack_nonneg=np.zeros(orig.nonneg_count),
-        primal_obj=-np.inf if orig.sense == "min" else np.inf,
-        dual_obj=np.nan,
-        iters=0,
-        residuals=(np.nan, np.nan, np.nan),
-        ray=ray,
-        stats=_zero_stats("presolve_unbounded"),
-    )
-
-
-def _presolve_infeasible_solution(orig: ConicProgram, pre: PresolveResult) -> ConicSolution:
-    d = orig.psd_order
-    y = pre.farkas_y
-    ray = RayCertificate(
+def _dual_ray(prog: ConicProgram, y: np.ndarray) -> RayCertificate:
+    """Dual ray y in prog's rows, with its slack blocks -G^T y."""
+    return RayCertificate(
         kind="dual",
         y=y,
-        slack_psd=smat(-orig.G_psd.T @ y) if d else np.zeros((0, 0)),
-        slack_nonneg=-orig.G_nonneg.T @ y,
+        slack_psd=smat(-prog.G_psd.T @ y),
+        slack_nonneg=-prog.G_nonneg.T @ y,
     )
+
+
+def _short_circuit(prog: ConicProgram, status: str, ray: RayCertificate, reason: str,
+                   primal_obj: float, dropped_rows: list) -> ConicSolution:
+    """A presolve verdict: zero blocks, no iterations, and the exact certificate."""
+    d = prog.psd_order
     return ConicSolution(
-        status=STATUS_INFEASIBLE,
+        status=status,
         primal_psd=np.zeros((d, d)),
-        primal_nonneg=np.zeros(orig.nonneg_count),
-        primal_free=np.zeros(orig.free_count),
-        dual_y=np.zeros(orig.n_rows),
+        primal_nonneg=np.zeros(prog.nonneg_count),
+        primal_free=np.zeros(prog.free_count),
+        dual_y=np.zeros(prog.n_rows),
         dual_slack_psd=np.zeros((d, d)),
-        dual_slack_nonneg=np.zeros(orig.nonneg_count),
-        primal_obj=np.nan,
+        dual_slack_nonneg=np.zeros(prog.nonneg_count),
+        primal_obj=primal_obj,
         dual_obj=np.nan,
         iters=0,
         residuals=(np.nan, np.nan, np.nan),
         ray=ray,
-        dropped_rows=pre.dropped_rows,
-        stats=_zero_stats("presolve_infeasible"),
+        dropped_rows=dropped_rows,
+        stats=_zero_stats(reason),
     )
 
 
@@ -901,15 +854,8 @@ def _iterate(ws: _Workspace):
             return _stop(ws, "mu_nonpositive")
 
         # Nesterov-Todd scalings
-        if d:
-            X = smat(ws.x_psd)
-            S = smat(ws.s_psd)
-            R, RinvT, lam, Lx, Ls = _nt_scaling(X, S)
-            c_ps = svec(R.T @ smat(ws.c_psd) @ R)
-        else:
-            R = RinvT = Lx = Ls = np.zeros((0, 0))
-            lam = np.zeros(0)
-            c_ps = np.zeros(0)
+        R, RinvT, lam, Lx, Ls = _nt_scaling(smat(ws.x_psd), smat(ws.s_psd))
+        c_ps = svec(R.T @ smat(ws.c_psd) @ R)
         w_nn = np.sqrt(ws.x_nn / ws.s_nn)
         w2 = w_nn**2
 
@@ -928,25 +874,18 @@ def _iterate(ws: _Workspace):
         if not np.isfinite(denom) or denom <= 0:
             return _stop(ws, "bad_denominator")
 
-        if d:
-            lam_outer = 2.0 / np.add.outer(lam, lam)
+        lam_outer = 2.0 / np.add.outer(lam, lam)
 
         def newton(t1, t2p, t2n, t2f, t3, Em, En, Et):
             """Solve one linearized HSD system:
             G dx - b dtau = t1;  -G^T dy + c dtau - ds = t2 (free rows: no ds);
             b^T dy - c^T dx - dkappa = t3;  scaled complementarities = (Em, En, Et).
             """
-            if d:
-                Hm = Em * lam_outer
-                h = svec(Hm)
-                t2s = svec(R.T @ smat(t2p) @ R)
-                Wt2 = Vz(t2s) + ws.matvec(w2 * t2n)
-                cWt2 = float(c_ps @ t2s + (w2 * ws.c_nn) @ t2n)
-            else:
-                Hm = np.zeros((0, 0))
-                h = np.zeros(0)
-                Wt2 = ws.matvec(w2 * t2n)
-                cWt2 = float((w2 * ws.c_nn) @ t2n)
+            Hm = Em * lam_outer
+            h = svec(Hm)
+            t2s = svec(R.T @ smat(t2p) @ R)
+            Wt2 = Vz(t2s) + ws.matvec(w2 * t2n)
+            cWt2 = float(c_ps @ t2s + (w2 * ws.c_nn) @ t2n)
             Gh = Vz(h) + ws.matvec(En / ws.s_nn)
             cGh = float(c_ps @ h + ws.c_nn @ (En / ws.s_nn))
             r1 = t1 - Wt2 - Gh
@@ -962,10 +901,7 @@ def _iterate(ws: _Workspace):
             arg_nn = gn - ws.c_nn * dtau + t2n
             ds_psd = -arg_psd
             ds_nn = -arg_nn
-            if d:
-                dx_psd = svec(R @ (R.T @ smat(arg_psd) @ R + Hm) @ R.T)
-            else:
-                dx_psd = np.zeros(0)
+            dx_psd = svec(R @ (R.T @ smat(arg_psd) @ R + Hm) @ R.T)
             dx_nn = w2 * arg_nn + En / ws.s_nn
             dkappa = (Et - kappa * dtau) / tau
             return dx_psd, dx_nn, dxf, dy, ds_psd, ds_nn, dtau, dkappa
@@ -977,7 +913,7 @@ def _iterate(ws: _Workspace):
             t2n = -eta * rd_nn
             t2f = -eta * rd_f
             t3 = -eta * rg
-            Em = sigma * mu * np.eye(d) - np.diag(lam**2) - corr_mat if d else np.zeros((0, 0))
+            Em = sigma * mu * np.eye(d) - np.diag(lam**2) - corr_mat
             En = sigma * mu - ws.x_nn * ws.s_nn - corr_nn
             Et = sigma * mu - tau * kappa - corr_tk
             dirn = newton(t1, t2p, t2n, t2f, t3, Em, En, Et)
@@ -993,8 +929,7 @@ def _iterate(ws: _Workspace):
                 res2f = t2f - (-gf + ws.c_f * dtau)
                 cdx = float(ws.c_psd @ dxp + ws.c_nn @ dxn + ws.c_f @ dxf)
                 res3 = t3 - (float(ws.b @ dy) - cdx - dkap)
-                corr = newton(res1, res2p, res2n, res2f, res3,
-                              np.zeros((d, d)) if d else np.zeros((0, 0)), np.zeros(p), 0.0)
+                corr = newton(res1, res2p, res2n, res2f, res3, np.zeros((d, d)), np.zeros(p), 0.0)
                 dirn = tuple(a + b for a, b in zip(dirn, corr))
             return dirn
 
@@ -1014,7 +949,7 @@ def _iterate(ws: _Workspace):
             return alpha
 
         # predictor
-        aff = direction(0.0, np.zeros((d, d)) if d else None, np.zeros(p), 0.0)
+        aff = direction(0.0, np.zeros((d, d)), np.zeros(p), 0.0)
         if not all(np.isfinite(v).all() for v in aff):
             return _stop(ws, "nonfinite_direction")
         dxp_a, dxn_a, dxf_a, dy_a, dsp_a, dsn_a, dtau_a, dkap_a = aff
@@ -1027,16 +962,13 @@ def _iterate(ws: _Workspace):
         sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector terms from the affine direction
-        if d:
-            dXt = RinvT.T @ smat(dxp_a) @ RinvT
-            dSt = R.T @ smat(dsp_a) @ R
-            corr_mat = 0.5 * (dXt @ dSt + dSt @ dXt)
-        else:
-            corr_mat = None
+        dXt = RinvT.T @ smat(dxp_a) @ RinvT
+        dSt = R.T @ smat(dsp_a) @ R
+        corr_mat = 0.5 * (dXt @ dSt + dSt @ dXt)
         corr_nn = dxn_a * dsn_a
         corr_tk = dtau_a * dkap_a
 
-        comb = direction(sigma, corr_mat if d else None, corr_nn, corr_tk)
+        comb = direction(sigma, corr_mat, corr_nn, corr_tk)
         if not all(np.isfinite(v).all() for v in comb):
             return _stop(ws, "nonfinite_direction")
         dxp, dxn, dxf, dy, dsp, dsn, dtau, dkap = comb
@@ -1081,7 +1013,7 @@ def _certificate_scan(ws: _Workspace, cx: float, by: float):
         if _inf_norm(Gx) / scale <= st.tol_infeas * (1.0 + ray_norm):
             ray = RayCertificate(
                 kind="primal",
-                psd=smat(ws.x_psd / scale) if ws.d else np.zeros((0, 0)),
+                psd=smat(ws.x_psd / scale),
                 nonneg=ws.x_nn / scale,
                 free=ws.x_f / scale,
             )
@@ -1101,21 +1033,20 @@ def _certificate_scan(ws: _Workspace, cx: float, by: float):
             ray = RayCertificate(
                 kind="dual",
                 y=yr,
-                slack_psd=smat(sp) if ws.d else np.zeros((0, 0)),
+                slack_psd=smat(sp),
                 slack_nonneg=sn,
             )
             return STATUS_INFEASIBLE, ray
     return None
 
 
-def _assemble(orig: ConicProgram, work: ConicProgram, pre: PresolveResult,
-              ws: _Workspace, status: str, ray_cert) -> ConicSolution:
-    d = ws.d
+def _assemble(orig: ConicProgram, pre: PresolveResult, ws: _Workspace, status: str,
+              ray_cert) -> ConicSolution:
     tau = ws.tau if ws.tau > 0 else 1.0
-    Xhat = smat(ws.x_psd) / tau if d else np.zeros((0, 0))
+    Xhat = smat(ws.x_psd) / tau
     xnn = ws.x_nn / tau
     xf = ws.x_f / tau
-    Shat = smat(ws.s_psd) / tau if d else np.zeros((0, 0))
+    Shat = smat(ws.s_psd) / tau
     snn = ws.s_nn / tau
 
     # dual multipliers back in original row space (undo normalization, reinsert pruned rows)
@@ -1149,12 +1080,7 @@ def _assemble(orig: ConicProgram, work: ConicProgram, pre: PresolveResult,
         scale = orig.rhs @ y_full
         if scale > 0:
             y_full /= scale
-        ray_cert = RayCertificate(
-            kind="dual",
-            y=y_full,
-            slack_psd=smat(-orig.G_psd.T @ y_full) if d else np.zeros((0, 0)),
-            slack_nonneg=-orig.G_nonneg.T @ y_full,
-        )
+        ray_cert = _dual_ray(orig, y_full)
 
     return ConicSolution(
         status=status,
@@ -1217,7 +1143,7 @@ def certify(prog: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> Certif
     checks = []
 
     if sol.status in (STATUS_OPTIMAL, STATUS_ITERATION_LIMIT):
-        xs = svec(sol.primal_psd) if d else np.zeros(0)
+        xs = svec(sol.primal_psd)
         for i in range(prog.n_rows):
             gp, gn, gf, rhs = prog.row(i)
             val = float(gp @ xs + gn @ sol.primal_nonneg + gf @ sol.primal_free)
@@ -1232,8 +1158,8 @@ def certify(prog: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> Certif
         c_psd = sgn * prog.obj_psd
         c_nn = sgn * prog.obj_nonneg
         c_f = sgn * prog.obj_free
-        cnorm = 1.0 + max(_inf_norm(c_psd, c_nn, c_f), 0.0)
-        rd_p = prog.G_psd.T @ sol.dual_y + (svec(sol.dual_slack_psd) if d else np.zeros(0)) - c_psd
+        cnorm = 1.0 + _inf_norm(c_psd, c_nn, c_f)
+        rd_p = prog.G_psd.T @ sol.dual_y + svec(sol.dual_slack_psd) - c_psd
         rd_n = prog.G_nonneg.T @ sol.dual_y + sol.dual_slack_nonneg - c_nn
         rd_f = prog.G_free.T @ sol.dual_y - c_f
         checks.append(CertCheck("dual_residual", _inf_norm(rd_p, rd_n, rd_f) / cnorm, tol))
@@ -1248,10 +1174,8 @@ def certify(prog: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> Certif
             )
     elif sol.status == STATUS_UNBOUNDED:
         ray = sol.ray
-        xs = svec(ray.psd) if d else np.zeros(0)
-        ray_scale = 1.0 + max(
-            _inf_norm(xs, ray.nonneg, ray.free), 0.0
-        )
+        xs = svec(ray.psd)
+        ray_scale = 1.0 + _inf_norm(xs, ray.nonneg, ray.free)
         for i in range(prog.n_rows):
             gp, gn, gf, _ = prog.row(i)
             val = float(gp @ xs + gn @ ray.nonneg + gf @ ray.free)
@@ -1265,7 +1189,7 @@ def certify(prog: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> Certif
     elif sol.status == STATUS_INFEASIBLE:
         ray = sol.ray
         ynorm = 1.0 + _inf_norm(ray.y)
-        res_p = prog.G_psd.T @ ray.y + (svec(ray.slack_psd) if d else np.zeros(0))
+        res_p = prog.G_psd.T @ ray.y + svec(ray.slack_psd)
         res_n = prog.G_nonneg.T @ ray.y + ray.slack_nonneg
         res_f = prog.G_free.T @ ray.y
         checks.append(CertCheck("farkas_residual", _inf_norm(res_p, res_n, res_f) / ynorm, tol))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bqrelax
 from bqrelax.cli import main
 from bqrelax.fixtures import fixture_path
 
@@ -186,6 +191,24 @@ def test_tol_env_override(capsys, monkeypatch):
     code, stdout, _ = run(capsys, "solve", TIGHT, "--relax", "sdr1")
     assert code == 0
     assert json.loads(stdout)["bound"] == pytest.approx(-28.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("flags, env", [
+    (["--max-iters", "0"], {}),
+    (["--tol", "-1"], {}),
+    (["--tol", "nan"], {}),
+    ([], {"BQRELAX_TOL": "abc"}),
+])
+def test_bad_solver_settings_exit_2(flags, env):
+    # as a process, so that an escaping exception shows as a traceback
+    src = str(Path(bqrelax.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "bqrelax", "maxcut", TRIANGLE, "--relax", "sdr", *flags]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_gen_unwritable_path_exit_4(capsys):

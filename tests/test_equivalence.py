@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bqrelax import equivalence
 from bqrelax.equivalence import (
     PointXX,
     PointZZ,
@@ -216,6 +217,22 @@ def test_verify_theorem4_triangle(tri_graph):
     assert rep.verdict == "pass"
     assert rep.opt_a == pytest.approx(2.25, abs=1e-6)
     assert rep.opt_b == pytest.approx(2.25, abs=1e-6)
+
+
+def test_theorem_checks_look_up_builders_and_solve_at_call_time(monkeypatch, ex_tight,
+                                                                tri_graph):
+    # a tracer wraps these module attributes; a copy bound at import would miss it
+    calls = []
+    for name in ("build_mc_sdr", "build_sdr2", "solve"):
+        def counted(*args, _fn=getattr(equivalence, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(equivalence, name, counted)
+    assert verify_theorem4(tri_graph).verdict == "pass"
+    assert calls == ["build_mc_sdr", "solve", "solve"]
+    calls.clear()
+    assert verify_theorem3(ex_tight).verdict == "pass"
+    assert calls == ["build_sdr2", "solve", "solve"]
 
 
 def test_verify_theorem4_empty_graph():

@@ -114,10 +114,18 @@ def test_stop_reason_names_the_exit(ex_tight):
         (lp([1.0], [[1.0], [1.0]], [1.0, 2.0]), SolverSettings(), STATUS_INFEASIBLE,
          "presolve_infeasible"),
         (build_sdr(ex_tight)[0], SolverSettings(), STATUS_UNBOUNDED, "presolve_unbounded"),
+        (lp([1.0, 2.0], [[1.0, 1.0]], [1.0]), SolverSettings(), STATUS_OPTIMAL, "optimal"),
     ]
     for prog, settings, status, reason in cases:
         sol = solve(prog, settings)
         assert (sol.status, sol.stats["stop_reason"]) == (status, reason)
+        # every exit returns blocks shaped as the program's, empty ones (d = 0) included
+        d, p, f = prog.psd_order, prog.nonneg_count, prog.free_count
+        blocks = (sol.primal_psd, sol.primal_nonneg, sol.primal_free, sol.dual_y,
+                  sol.dual_slack_psd, sol.dual_slack_nonneg)
+        assert [b.shape for b in blocks] == [(d, d), (p,), (f,), (prog.n_rows,), (d, d), (p,)]
+        if status != STATUS_ITERATION_LIMIT:
+            assert certify(prog, sol, 1e-6).ok, (reason, certify(prog, sol, 1e-6).failed())
 
 
 def test_stop_reason_of_a_desk_stall():
@@ -130,6 +138,8 @@ def test_stop_reason_of_a_desk_stall():
 def test_settings_validation():
     with pytest.raises(ValueError):
         SolverSettings(tol_gap=0.0)
+    with pytest.raises(ValueError):
+        SolverSettings(tol_feas=float("nan"))
     with pytest.raises(ValueError):
         SolverSettings(max_iters=0)
 
