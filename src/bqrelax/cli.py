@@ -6,7 +6,8 @@ Exit codes: 0 success; 1 verification failed; 2 usage or malformed input;
 3 solve ended Unbounded/Infeasible (certificate summary still printed);
 4 output I/O failure; 5 numerical failure; 6 verification not applicable.
 The default solver tolerance can be overridden with the BQRELAX_TOL
-environment variable or the --tol flag.
+environment variable or the --tol flag.  verify's --tol is the equivalence
+tolerance (default 1e-6), not the solver's; one that is not positive exits 2.
 """
 
 import argparse
@@ -43,19 +44,12 @@ def _settings(args) -> solver.SolverSettings:
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_instance(path):
+def _load(load, path, what):
+    """load(path); an unreadable or malformed file is a usage error."""
     try:
-        return model.load_instance(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read instance {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _load_graph(path):
-    try:
-        return model.load_graph(path)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read graph {path}: {exc}", file=sys.stderr)
+        return load(path)
+    except (OSError, ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+        print(f"error: cannot read {what} {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -75,8 +69,14 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _solve_report(prog, settings):
-    sol = solver.solve(prog, settings)
+def _solve_one(args, data, builders, what) -> int:
+    """Build relaxation args.relax of data from builders, solve it and print
+    the JSON report; the exit code follows the status."""
+    if args.relax not in builders:
+        print(f"error: unknown {what} {args.relax!r}", file=sys.stderr)
+        return EXIT_USAGE
+    prog, _ = builders[args.relax](data)
+    sol = solver.solve(prog, _settings(args))
     report = {
         "relax": prog.label,
         "status": sol.status,
@@ -89,16 +89,6 @@ def _solve_report(prog, settings):
     if sol.status in (solver.STATUS_UNBOUNDED, solver.STATUS_INFEASIBLE) and sol.ray is not None:
         cert = solver.certify(prog, sol, 1e-6)
         report["certificate"] = {"kind": sol.ray.kind, "verified": cert.ok}
-    return sol, report
-
-
-def cmd_solve(args) -> int:
-    inst = _load_instance(args.instance)
-    if args.relax not in relax.RELAXATION_BUILDERS:
-        print(f"error: unknown relaxation {args.relax!r}", file=sys.stderr)
-        return EXIT_USAGE
-    prog, _ = relax.RELAXATION_BUILDERS[args.relax](inst)
-    sol, report = _solve_report(prog, _settings(args))
     print(json.dumps(report, sort_keys=True))
     if sol.status == solver.STATUS_OPTIMAL:
         return EXIT_OK
@@ -107,8 +97,13 @@ def cmd_solve(args) -> int:
     return EXIT_NUMERICAL
 
 
+def cmd_solve(args) -> int:
+    inst = _load(model.load_instance, args.instance, "instance")
+    return _solve_one(args, inst, relax.RELAXATION_BUILDERS, "relaxation")
+
+
 def cmd_compare(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(model.load_instance, args.instance, "instance")
     methods = [m.strip() for m in args.relax.split(",") if m.strip()]
     unknown = [m for m in methods if m not in relax.RELAXATION_BUILDERS]
     if unknown:
@@ -120,7 +115,7 @@ def cmd_compare(args) -> int:
     worst = EXIT_OK
     for m in methods:
         prog, _ = relax.RELAXATION_BUILDERS[m](inst)
-        sol, _rep = _solve_report(prog, settings)
+        sol = solver.solve(prog, settings)
         bound = sol.primal_obj
         rows.append((m, sol.status, bound, sol.iters, sol.solve_time))
         records.append(bench.RunRecord(
@@ -145,13 +140,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-6
+    if not args.tol > 0:  # rejects NaN too
+        print(f"error: --tol must be positive, got {args.tol}", file=sys.stderr)
+        return EXIT_USAGE
     if args.mode == "thm3":
-        inst = _load_instance(args.input)
-        rep = equivalence.verify_theorem3(inst, tol)
+        inst = _load(model.load_instance, args.input, "instance")
+        rep = equivalence.verify_theorem3(inst, args.tol)
     else:
-        G = _load_graph(args.input)
-        rep = equivalence.verify_theorem4(G, tol)
+        G = _load(model.load_graph, args.input, "graph")
+        rep = equivalence.verify_theorem4(G, args.tol)
     print(rep.to_json())
     if rep.verdict == "pass":
         return EXIT_OK
@@ -161,7 +158,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(model.load_instance, args.instance, "instance")
     try:
         res = model.brute_force_bqp(inst)
     except ValueError as exc:
@@ -174,18 +171,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_maxcut(args) -> int:
-    G = _load_graph(args.graph)
-    if args.relax not in relax.MAXCUT_BUILDERS:
-        print(f"error: unknown max-cut relaxation {args.relax!r}", file=sys.stderr)
-        return EXIT_USAGE
-    prog, _ = relax.MAXCUT_BUILDERS[args.relax](G)
-    sol, report = _solve_report(prog, _settings(args))
-    print(json.dumps(report, sort_keys=True))
-    if sol.status == solver.STATUS_OPTIMAL:
-        return EXIT_OK
-    if sol.status in (solver.STATUS_UNBOUNDED, solver.STATUS_INFEASIBLE):
-        return EXIT_CERTIFICATE
-    return EXIT_NUMERICAL
+    G = _load(model.load_graph, args.graph, "graph")
+    return _solve_one(args, G, relax.MAXCUT_BUILDERS, "max-cut relaxation")
 
 
 def cmd_profile(args) -> int:
@@ -248,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a relaxation-equivalence theorem numerically")
     p.add_argument("--mode", required=True, choices=["thm3", "thm4"])
     p.add_argument("input", help="instance JSON (thm3) or graph file (thm4)")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=equivalence.DEFAULT_EQUIV_TOL,
+                   help="equivalence tolerance, not the solver's (default: %(default)s)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force exact optimum (desk scale)")

@@ -103,13 +103,9 @@ class ConicProgram:
 
     def objective_value(self, psd_mat: np.ndarray, nonneg: np.ndarray, free: np.ndarray) -> float:
         """Model-space objective (offset included) at the given blocks."""
-        val = 0.0
-        if self.psd_order:
-            val += float(self.obj_psd @ svec(psd_mat))
-        if self.nonneg_count:
-            val += float(self.obj_nonneg @ nonneg)
-        if self.free_count:
-            val += float(self.obj_free @ free)
+        val = float(self.obj_psd @ svec(psd_mat))
+        val += float(self.obj_nonneg @ nonneg)
+        val += float(self.obj_free @ free)
         return val + self.offset
 
     def to_debug_json(self) -> str:

@@ -36,6 +36,10 @@ Row storage: the products G x and G^T y in the loop come from
 rows + columns nonzeros (the max-cut programs), and from the dense blocks
 otherwise (face-reduced programs); the choice is made once per solve.
 
+The loop's iterate and its Newton directions are one type (_Point); one HSD
+map (_Workspace.hsd) gives the residuals of both.  A numerical stop or the
+iteration limit returns the best iterate seen, untouched (kept by reference).
+
 Linear algebra per iteration: the KKT matrix is assembled in place in one
 buffer per solve, rows in the program's own order (see _SchurRows), and
 factored once by LU; 21 refined back-solves use the factors, and the
@@ -477,14 +481,35 @@ class _SchurRows:
         return Vz
 
 
-class _Workspace:
-    """One solve's state; owns all iterate vectors (single-threaded).
+class _Point(NamedTuple):
+    """An HSD iterate (x, y, s, tau, kappa), or a Newton direction in the same
+    blocks.  Its arrays are never written in place: step() builds new ones."""
 
-    A snapshot of the best iterate (by worst relative residual) is kept and
-    restored on stalls: problems without a Slater point (the norm for the
-    lifted BQP relaxations, whose feasible lifted matrices are forced
-    singular) have unattained duals, and iterates can degrade after the
-    achievable floor is reached.
+    x_psd: np.ndarray
+    x_nn: np.ndarray
+    x_f: np.ndarray
+    y: np.ndarray
+    s_psd: np.ndarray
+    s_nn: np.ndarray
+    tau: float
+    kappa: float
+
+    def step(self, alpha: float, d: "_Point") -> "_Point":
+        return _Point(*(a + alpha * b for a, b in zip(self, d)))
+
+    def compl(self) -> float:
+        """x.s + tau kappa."""
+        return float(self.x_psd @ self.s_psd + self.x_nn @ self.s_nn) + self.tau * self.kappa
+
+
+class _Workspace:
+    """One solve's state; the iterate is the _Point pt (single-threaded).
+
+    The best iterate (by worst relative residual) is kept and restored on
+    stalls: problems without a Slater point (the norm for the lifted BQP
+    relaxations, whose feasible lifted matrices are forced singular) have
+    unattained duals, and iterates can degrade after the achievable floor is
+    reached.
     """
 
     def __init__(self, prog: ConicProgram, settings: SolverSettings):
@@ -523,14 +548,8 @@ class _Workspace:
         self.K[:self.rows, self.rows:] = self.Gf
         self.K[self.rows:, :self.rows] = -self.Gf.T
 
-        self.x_psd = svec(np.eye(self.d))
-        self.x_nn = np.ones(self.p)
-        self.x_f = np.zeros(self.f)
-        self.y = np.zeros(self.rows)
-        self.s_psd = svec(np.eye(self.d))
-        self.s_nn = np.ones(self.p)
-        self.tau = 1.0
-        self.kappa = 1.0
+        self.pt = _Point(svec(np.eye(self.d)), np.ones(self.p), np.zeros(self.f),
+                         np.zeros(self.rows), svec(np.eye(self.d)), np.ones(self.p), 1.0, 1.0)
         self.history = []
         self.stats = _zero_stats()
         self._best = None
@@ -539,16 +558,11 @@ class _Workspace:
     def snapshot_if_best(self, metric: float):
         if metric < self._best_metric:
             self._best_metric = metric
-            self._best = (
-                self.x_psd.copy(), self.x_nn.copy(), self.x_f.copy(),
-                self.y.copy(), self.s_psd.copy(), self.s_nn.copy(),
-                self.tau, self.kappa,
-            )
+            self._best = self.pt
 
     def restore_best(self):
         if self._best is not None:
-            (self.x_psd, self.x_nn, self.x_f, self.y,
-             self.s_psd, self.s_nn, self.tau, self.kappa) = self._best
+            self.pt = self._best
 
     def kkt(self, R: np.ndarray, w2: np.ndarray):
         """(K, Vz): the KKT matrix at scaling R and orthant weights w2,
@@ -589,24 +603,29 @@ class _Workspace:
                 np.bincount(cn, vn * y[rn], self.p),
                 np.bincount(cf, vf * y[rf], self.f) if free else None)
 
-    # -- residuals and candidate metrics -------------------------------
+    # -- the HSD map and the stopping measures -------------------------
 
-    def residuals(self):
-        rp = self.matvec(self.x_nn, self.x_psd, self.x_f) - self.tau * self.b
-        gp, gn, gf = self.rmatvec(self.y)
-        rd_psd = self.tau * self.c_psd - gp - self.s_psd
-        rd_nn = self.tau * self.c_nn - gn - self.s_nn
-        rd_f = self.tau * self.c_f - gf
-        cx = float(self.c_psd @ self.x_psd + self.c_nn @ self.x_nn + self.c_f @ self.x_f)
-        by = float(self.b @ self.y)
-        rg = by - cx - self.kappa
-        return rp, rd_psd, rd_nn, rd_f, rg, cx, by
+    def hsd(self, v: _Point):
+        """(G x - tau b, tau c - G^T y - s per block (free: no s),
+        b^T y - c^T x - kappa, c^T x, b^T y) at an iterate or a direction v."""
+        rp = self.matvec(v.x_nn, v.x_psd, v.x_f) - v.tau * self.b
+        gp, gn, gf = self.rmatvec(v.y)
+        rd_psd = v.tau * self.c_psd - gp - v.s_psd
+        rd_nn = v.tau * self.c_nn - gn - v.s_nn
+        rd_f = v.tau * self.c_f - gf
+        cx = float(self.c_psd @ v.x_psd + self.c_nn @ v.x_nn + self.c_f @ v.x_f)
+        by = float(self.b @ v.y)
+        return rp, rd_psd, rd_nn, rd_f, by - cx - v.kappa, cx, by
 
-    def compl(self):
-        return float(self.x_psd @ self.s_psd + self.x_nn @ self.s_nn)
-
-    def mu(self):
-        return (self.compl() + self.tau * self.kappa) / (self.nu + 1)
+    def measures(self, res: tuple, tau: float):
+        """(pobj, dobj, pres, dres, gap_rel) of hsd() at an iterate, over tau."""
+        rp, rd_psd, rd_nn, rd_f, _, cx, by = res
+        pobj = cx / tau
+        dobj = by / tau
+        pres = _inf_norm(rp) / (tau * (1.0 + self.bnorm))
+        dres = _inf_norm(rd_psd, rd_nn, rd_f) / (tau * (1.0 + self.cnorm))
+        gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        return pobj, dobj, pres, dres, gap_rel
 
 
 def _inf_norm(*arrays):
@@ -817,17 +836,13 @@ def _iterate(ws: _Workspace):
     no_progress = 0
 
     for it in range(st.max_iters):
-        rp, rd_psd, rd_nn, rd_f, rg, cx, by = ws.residuals()
-        compl = ws.compl()
-        mu = ws.mu()
-        tau, kappa = ws.tau, ws.kappa
-
-        pobj = cx / tau
-        dobj = by / tau
-        gap_mu = (compl + tau * kappa) / tau**2
-        pres = _inf_norm(rp) / (tau * (1.0 + ws.bnorm))
-        dres = _inf_norm(rd_psd, rd_nn, rd_f) / (tau * (1.0 + ws.cnorm))
-        gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        pt = ws.pt
+        res = ws.hsd(pt)
+        tau, kappa = pt.tau, pt.kappa
+        compl = pt.compl()
+        mu = compl / (ws.nu + 1)
+        pobj, dobj, pres, dres, gap_rel = ws.measures(res, tau)
+        gap_mu = compl / tau**2
         ws.history.append(IterateRecord(it, pobj, pobj - gap_mu, gap_mu, pres, dres))
         log.debug("iter %3d  pobj %+.9e  dobj %+.9e  gap %9.3e  pres %9.3e  dres %9.3e",
                   it, pobj, pobj - gap_mu, gap_mu, pres, dres)
@@ -837,7 +852,7 @@ def _iterate(ws: _Workspace):
                 and gap_rel <= st.tol_gap and gap_mu_rel <= st.tol_gap):
             return _stop(ws, "optimal", STATUS_OPTIMAL)
 
-        cert = _certificate_scan(ws, cx, by)
+        cert = _certificate_scan(ws, res[5], res[6])
         if cert is not None:
             return _stop(ws, "certificate", *cert)
 
@@ -854,9 +869,9 @@ def _iterate(ws: _Workspace):
             return _stop(ws, "mu_nonpositive")
 
         # Nesterov-Todd scalings
-        R, RinvT, lam, Lx, Ls = _nt_scaling(smat(ws.x_psd), smat(ws.s_psd))
+        R, RinvT, lam, Lx, Ls = _nt_scaling(smat(pt.x_psd), smat(pt.s_psd))
         c_ps = svec(R.T @ smat(ws.c_psd) @ R)
-        w_nn = np.sqrt(ws.x_nn / ws.s_nn)
+        w_nn = np.sqrt(pt.x_nn / pt.s_nn)
         w2 = w_nn**2
 
         K, Vz = ws.kkt(R, w2)
@@ -877,7 +892,7 @@ def _iterate(ws: _Workspace):
         lam_outer = 2.0 / np.add.outer(lam, lam)
 
         def newton(t1, t2p, t2n, t2f, t3, Em, En, Et):
-            """Solve one linearized HSD system:
+            """Solve one linearized HSD system, hsd(d)[:5] = (t1, t2p, t2n, t2f, t3):
             G dx - b dtau = t1;  -G^T dy + c dtau - ds = t2 (free rows: no ds);
             b^T dy - c^T dx - dkappa = t3;  scaled complementarities = (Em, En, Et).
             """
@@ -886,12 +901,11 @@ def _iterate(ws: _Workspace):
             t2s = svec(R.T @ smat(t2p) @ R)
             Wt2 = Vz(t2s) + ws.matvec(w2 * t2n)
             cWt2 = float(c_ps @ t2s + (w2 * ws.c_nn) @ t2n)
-            Gh = Vz(h) + ws.matvec(En / ws.s_nn)
-            cGh = float(c_ps @ h + ws.c_nn @ (En / ws.s_nn))
+            Gh = Vz(h) + ws.matvec(En / pt.s_nn)
+            cGh = float(c_ps @ h + ws.c_nn @ (En / pt.s_nn))
             r1 = t1 - Wt2 - Gh
-            r2 = t2f
             r3 = t3 + Et / tau + cGh + cWt2
-            z1 = _solve_refined(K, lu, np.concatenate([r1, r2]), ws.stats)
+            z1 = _solve_refined(K, lu, np.concatenate([r1, t2f]), ws.stats)
             dtau = (r3 - float(q @ z1)) / denom
             zz = z1 + dtau * z2
             dy = zz[:rows]
@@ -902,77 +916,60 @@ def _iterate(ws: _Workspace):
             ds_psd = -arg_psd
             ds_nn = -arg_nn
             dx_psd = svec(R @ (R.T @ smat(arg_psd) @ R + Hm) @ R.T)
-            dx_nn = w2 * arg_nn + En / ws.s_nn
+            dx_nn = w2 * arg_nn + En / pt.s_nn
             dkappa = (Et - kappa * dtau) / tau
-            return dx_psd, dx_nn, dxf, dy, ds_psd, ds_nn, dtau, dkappa
+            return _Point(dx_psd, dx_nn, dxf, dy, ds_psd, ds_nn, dtau, dkappa)
 
         def direction(sigma, corr_mat, corr_nn, corr_tk):
             eta = 1.0 - sigma
-            t1 = -eta * rp
-            t2p = -eta * rd_psd
-            t2n = -eta * rd_nn
-            t2f = -eta * rd_f
-            t3 = -eta * rg
+            t = [-eta * r for r in res[:5]]
             Em = sigma * mu * np.eye(d) - np.diag(lam**2) - corr_mat
-            En = sigma * mu - ws.x_nn * ws.s_nn - corr_nn
+            En = sigma * mu - pt.x_nn * pt.s_nn - corr_nn
             Et = sigma * mu - tau * kappa - corr_tk
-            dirn = newton(t1, t2p, t2n, t2f, t3, Em, En, Et)
+            dirn = newton(*t, Em, En, Et)
             # outer refinement passes: the W-congruence reconstruction of dx
             # amplifies rounding by ||W||, which otherwise floors the
             # attainable primal residual near the boundary
             for _ in range(2):
-                dxp, dxn, dxf, dy, dsp, dsn, dtau, dkap = dirn
-                res1 = t1 - (ws.matvec(dxn, dxp, dxf) - dtau * ws.b)
-                gp, gn, gf = ws.rmatvec(dy)
-                res2p = t2p - (-gp + ws.c_psd * dtau - dsp)
-                res2n = t2n - (-gn + ws.c_nn * dtau - dsn)
-                res2f = t2f - (-gf + ws.c_f * dtau)
-                cdx = float(ws.c_psd @ dxp + ws.c_nn @ dxn + ws.c_f @ dxf)
-                res3 = t3 - (float(ws.b @ dy) - cdx - dkap)
-                corr = newton(res1, res2p, res2n, res2f, res3, np.zeros((d, d)), np.zeros(p), 0.0)
-                dirn = tuple(a + b for a, b in zip(dirn, corr))
+                res_t = [a - b for a, b in zip(t, ws.hsd(dirn))]
+                corr = newton(*res_t, np.zeros((d, d)), np.zeros(p), 0.0)
+                dirn = dirn.step(1.0, corr)
             return dirn
 
-        def max_step(dx_psd, dx_nn, ds_psd, ds_nn, dtau, dkappa):
+        def max_step(v: _Point):
             alpha = min(
-                _max_step_scalar(tau, dtau),
-                _max_step_scalar(kappa, dkappa),
+                _max_step_scalar(tau, v.tau),
+                _max_step_scalar(kappa, v.kappa),
             )
             if d:
                 # the factors of this iterate's X and S, from the NT scaling
-                alpha = min(alpha, _max_step_psd(Lx, dx_psd))
-                alpha = min(alpha, _max_step_psd(Ls, ds_psd))
+                alpha = min(alpha, _max_step_psd(Lx, v.x_psd))
+                alpha = min(alpha, _max_step_psd(Ls, v.s_psd))
                 ws.stats["psd_step_solves"] += 4
             if p:
-                alpha = min(alpha, _max_step_vec(ws.x_nn, dx_nn))
-                alpha = min(alpha, _max_step_vec(ws.s_nn, ds_nn))
+                alpha = min(alpha, _max_step_vec(pt.x_nn, v.x_nn))
+                alpha = min(alpha, _max_step_vec(pt.s_nn, v.s_nn))
             return alpha
 
         # predictor
         aff = direction(0.0, np.zeros((d, d)), np.zeros(p), 0.0)
         if not all(np.isfinite(v).all() for v in aff):
             return _stop(ws, "nonfinite_direction")
-        dxp_a, dxn_a, dxf_a, dy_a, dsp_a, dsn_a, dtau_a, dkap_a = aff
-        a_aff = min(1.0, max_step(dxp_a, dxn_a, dsp_a, dsn_a, dtau_a, dkap_a))
-        mu_aff = (
-            (ws.x_psd + a_aff * dxp_a) @ (ws.s_psd + a_aff * dsp_a)
-            + (ws.x_nn + a_aff * dxn_a) @ (ws.s_nn + a_aff * dsn_a)
-            + (tau + a_aff * dtau_a) * (kappa + a_aff * dkap_a)
-        ) / (ws.nu + 1)
+        a_aff = min(1.0, max_step(aff))
+        mu_aff = pt.step(a_aff, aff).compl() / (ws.nu + 1)
         sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector terms from the affine direction
-        dXt = RinvT.T @ smat(dxp_a) @ RinvT
-        dSt = R.T @ smat(dsp_a) @ R
+        dXt = RinvT.T @ smat(aff.x_psd) @ RinvT
+        dSt = R.T @ smat(aff.s_psd) @ R
         corr_mat = 0.5 * (dXt @ dSt + dSt @ dXt)
-        corr_nn = dxn_a * dsn_a
-        corr_tk = dtau_a * dkap_a
+        corr_nn = aff.x_nn * aff.s_nn
+        corr_tk = aff.tau * aff.kappa
 
         comb = direction(sigma, corr_mat, corr_nn, corr_tk)
         if not all(np.isfinite(v).all() for v in comb):
             return _stop(ws, "nonfinite_direction")
-        dxp, dxn, dxf, dy, dsp, dsn, dtau, dkap = comb
-        alpha = min(1.0, FRACTION_TO_BOUNDARY * max_step(dxp, dxn, dsp, dsn, dtau, dkap))
+        alpha = min(1.0, FRACTION_TO_BOUNDARY * max_step(comb))
         if alpha < 1e-10:
             stalls += 1
             if stalls >= 3:
@@ -980,15 +977,8 @@ def _iterate(ws: _Workspace):
         else:
             stalls = 0
 
-        ws.x_psd = ws.x_psd + alpha * dxp
-        ws.x_nn = ws.x_nn + alpha * dxn
-        ws.x_f = ws.x_f + alpha * dxf
-        ws.y = ws.y + alpha * dy
-        ws.s_psd = ws.s_psd + alpha * dsp
-        ws.s_nn = ws.s_nn + alpha * dsn
-        ws.tau = tau + alpha * dtau
-        ws.kappa = kappa + alpha * dkap
-        if ws.tau <= 0 or ws.kappa <= 0:
+        ws.pt = pt.step(alpha, comb)
+        if ws.pt.tau <= 0 or ws.pt.kappa <= 0:
             return _stop(ws, "tau_kappa_nonpositive")
 
     return _stop(ws, "iteration_limit", STATUS_ITERATION_LIMIT)
@@ -1005,24 +995,24 @@ def _stop(ws: _Workspace, reason: str, status: str = STATUS_NUMERICAL_TROUBLE, r
 
 def _certificate_scan(ws: _Workspace, cx: float, by: float):
     """Verify HSD-side unboundedness/infeasibility certificates at the iterate."""
-    st = ws.settings
+    st, pt = ws.settings, ws.pt
     if cx < 0:
         scale = -cx
-        Gx = ws.matvec(ws.x_nn, ws.x_psd, ws.x_f)
-        ray_norm = _inf_norm(ws.x_psd, ws.x_nn, ws.x_f) / scale
+        Gx = ws.matvec(pt.x_nn, pt.x_psd, pt.x_f)
+        ray_norm = _inf_norm(pt.x_psd, pt.x_nn, pt.x_f) / scale
         if _inf_norm(Gx) / scale <= st.tol_infeas * (1.0 + ray_norm):
             ray = RayCertificate(
                 kind="primal",
-                psd=smat(ws.x_psd / scale),
-                nonneg=ws.x_nn / scale,
-                free=ws.x_f / scale,
+                psd=smat(pt.x_psd / scale),
+                nonneg=pt.x_nn / scale,
+                free=pt.x_f / scale,
             )
             return STATUS_UNBOUNDED, ray
     if by > 0:
         # cone margins are checked absolutely on the normalized ray: a huge
         # ||y|| certificate with relatively-tiny but absolutely-significant
         # violations proves nothing (rows are unit-normalized internally)
-        yr = ws.y / by
+        yr = pt.y / by
         sp, sn, sf = (-g for g in ws.rmatvec(yr))
         ok = _inf_norm(sf) <= st.tol_infeas
         if ok and ws.p:
@@ -1030,38 +1020,24 @@ def _certificate_scan(ws: _Workspace, cx: float, by: float):
         if ok and ws.d:
             ok = float(np.linalg.eigvalsh(smat(sp))[0]) >= -st.tol_infeas
         if ok:
-            ray = RayCertificate(
-                kind="dual",
-                y=yr,
-                slack_psd=smat(sp),
-                slack_nonneg=sn,
-            )
-            return STATUS_INFEASIBLE, ray
+            # _assemble builds the slacks in the original rows
+            return STATUS_INFEASIBLE, RayCertificate(kind="dual", y=yr)
     return None
 
 
 def _assemble(orig: ConicProgram, pre: PresolveResult, ws: _Workspace, status: str,
               ray_cert) -> ConicSolution:
-    tau = ws.tau if ws.tau > 0 else 1.0
-    Xhat = smat(ws.x_psd) / tau
-    xnn = ws.x_nn / tau
-    xf = ws.x_f / tau
-    Shat = smat(ws.s_psd) / tau
-    snn = ws.s_nn / tau
+    pt = ws.pt
+    tau = pt.tau if pt.tau > 0 else 1.0
 
     # dual multipliers back in original row space (undo normalization, reinsert pruned rows)
     dropped = set(pre.dropped_rows)
     kept = [i for i in range(orig.n_rows) if i not in dropped]
     y_model = np.zeros(orig.n_rows)
-    y_model[kept] = (ws.y / tau) / ws.row_scale
+    y_model[kept] = (pt.y / tau) / ws.row_scale
     sgn = ws.sense_sign
 
-    rp, rd_psd, rd_nn, rd_f, rg, cx, by = ws.residuals()
-    pres = _inf_norm(rp) / (tau * (1.0 + ws.bnorm))
-    dres = _inf_norm(rd_psd, rd_nn, rd_f) / (tau * (1.0 + ws.cnorm))
-    pobj_int = cx / tau
-    dobj_int = by / tau
-    gap_rel = abs(pobj_int - dobj_int) / (1.0 + abs(pobj_int) + abs(dobj_int))
+    pobj_int, dobj_int, pres, dres, gap_rel = ws.measures(ws.hsd(pt), tau)
 
     if status == STATUS_UNBOUNDED:
         pobj = -np.inf if orig.sense == "min" else np.inf
@@ -1084,12 +1060,12 @@ def _assemble(orig: ConicProgram, pre: PresolveResult, ws: _Workspace, status: s
 
     return ConicSolution(
         status=status,
-        primal_psd=Xhat,
-        primal_nonneg=xnn,
-        primal_free=xf,
+        primal_psd=smat(pt.x_psd) / tau,
+        primal_nonneg=pt.x_nn / tau,
+        primal_free=pt.x_f / tau,
         dual_y=y_model,
-        dual_slack_psd=Shat,
-        dual_slack_nonneg=snn,
+        dual_slack_psd=smat(pt.s_psd) / tau,
+        dual_slack_nonneg=pt.s_nn / tau,
         primal_obj=pobj,
         dual_obj=dobj,
         iters=len(ws.history),

@@ -96,8 +96,10 @@ def test_solve_malformed_json_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_solve_unknown_relax_exit_2(capsys):
-    code, _, err = run(capsys, "solve", TIGHT, "--relax", "huh")
+@pytest.mark.parametrize("command, data", [("solve", TIGHT), ("maxcut", TRIANGLE)],
+                         ids=["solve", "maxcut"])
+def test_solve_unknown_relax_exit_2(capsys, command, data):
+    code, _, err = run(capsys, command, data, "--relax", "huh")
     assert code == 2
 
 
@@ -193,18 +195,24 @@ def test_tol_env_override(capsys, monkeypatch):
     assert json.loads(stdout)["bound"] == pytest.approx(-28.0, abs=1e-3)
 
 
+MAXCUT_SDR = ["maxcut", TRIANGLE, "--relax", "sdr"]
+VERIFY_THM4 = ["verify", "--mode", "thm4", TRIANGLE]
+
+
 @pytest.mark.parametrize("flags, env", [
-    (["--max-iters", "0"], {}),
-    (["--tol", "-1"], {}),
-    (["--tol", "nan"], {}),
-    ([], {"BQRELAX_TOL": "abc"}),
+    (MAXCUT_SDR + ["--max-iters", "0"], {}),
+    (MAXCUT_SDR + ["--tol", "-1"], {}),
+    (MAXCUT_SDR + ["--tol", "nan"], {}),
+    (MAXCUT_SDR, {"BQRELAX_TOL": "abc"}),
+    (VERIFY_THM4 + ["--tol", "-1"], {}),
+    (VERIFY_THM4 + ["--tol", "nan"], {}),
 ])
 def test_bad_solver_settings_exit_2(flags, env):
     # as a process, so that an escaping exception shows as a traceback
     src = str(Path(bqrelax.__file__).resolve().parents[1])
     env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    argv = [sys.executable, "-m", "bqrelax", "maxcut", TRIANGLE, "--relax", "sdr", *flags]
+    argv = [sys.executable, "-m", "bqrelax", *flags]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")

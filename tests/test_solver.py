@@ -133,6 +133,10 @@ def test_stop_reason_of_a_desk_stall():
     sol = solve(build_dnnp(generate_instance("RdiBQP", 12, 5, seed=33))[0])
     assert sol.status == solver.STATUS_NUMERICAL_TROUBLE
     assert sol.stats["stop_reason"] == "mu_nonpositive"
+    # the best iterate comes back untouched by the steps taken after it
+    best = (sol.residuals[0], sol.residuals[1])
+    logged = [(h.pres, h.dres) for h in sol.history]
+    assert best in logged and best != logged[-1]
 
 
 def test_settings_validation():
