@@ -110,25 +110,21 @@ def cmd_compare(args) -> int:
         print(f"error: unknown relaxation(s) {unknown}", file=sys.stderr)
         return EXIT_USAGE
     settings = _settings(args)
-    rows = []
     records = []
     worst = EXIT_OK
     for m in methods:
         prog, _ = relax.RELAXATION_BUILDERS[m](inst)
         sol = solver.solve(prog, settings)
-        bound = sol.primal_obj
-        rows.append((m, sol.status, bound, sol.iters, sol.solve_time))
         records.append(bench.RunRecord(
-            instance_id=inst.name, method=m, status=sol.status,
-            bound=bound if sol.status == solver.STATUS_OPTIMAL else float("nan"),
+            instance_id=inst.name, method=m, status=sol.status, bound=sol.primal_obj,
             iters=sol.iters, wall_time=sol.solve_time, seed=0))
         if sol.status == solver.STATUS_NUMERICAL_TROUBLE:
             worst = EXIT_NUMERICAL
     print(f"{'method':8s} {'status':16s} {'bound':>18s} {'iters':>6s} {'time':>9s}")
-    for m, status, bound, iters, t in rows:
-        bstr = f"{bound:18.8f}" if np.isfinite(bound) else f"{str(bound):>18s}"
-        print(f"{m:8s} {status:16s} {bstr} {iters:6d} {t:9.3f}")
-    if all(m in [r[0] for r in rows] for m in ("sdr1", "sdr2", "dnnp")):
+    for r in records:
+        bstr = f"{r.bound:18.8f}" if np.isfinite(r.bound) else f"{str(r.bound):>18s}"
+        print(f"{r.method:8s} {r.status:16s} {bstr} {r.iters:6d} {r.wall_time:9.3f}")
+    if all(m in methods for m in ("sdr1", "sdr2", "dnnp")):
         rep = bench.bound_order_report(records, tol=1e-5)
         for inst_id, v in rep.order_violations:
             print(f"order violation: bound(sdr1) exceeds bound(sdr2) by {v:.3e}")

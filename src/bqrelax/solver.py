@@ -35,6 +35,9 @@ Row storage: the products G x and G^T y in the loop come from
 (row, column, value) index arrays when the normalized rows hold at most
 rows + columns nonzeros (the max-cut programs), and from the dense blocks
 otherwise (face-reduced programs); the choice is made once per solve.
+Setup stacks the rows [G_psd G_nonneg G_free] a bounded block at a time,
+and whole rows only for presolve's QR and least squares on the rows they
+test; the index path keeps no dense normalized copy of the rows.
 
 The loop's iterate and its Newton directions are one type (_Point); one HSD
 map (_Workspace.hsd) gives the residuals of both.  A numerical stop or the
@@ -159,14 +162,37 @@ class PresolveResult:
     farkas_y: np.ndarray | None = None
 
 
-def _stack_rows(prog: ConicProgram) -> np.ndarray:
-    return np.hstack([prog.G_psd, prog.G_nonneg, prog.G_free])
+_CHUNK = 1 << 17  # entries of the stacked rows formed at once
+
+
+def _stack_rows(prog: ConicProgram, idx) -> np.ndarray:
+    """Rows idx of the stacked matrix [G_psd G_nonneg G_free]."""
+    return np.hstack([prog.G_psd[idx], prog.G_nonneg[idx], prog.G_free[idx]])
 
 
 def _coo(G: np.ndarray) -> tuple:
     """(rows, cols, values) of the nonzeros of G, in row-major order."""
     r, c = np.nonzero(G)
     return r, c, G[r, c]
+
+
+def _row_scan(prog: ConicProgram, floor: float | None = None):
+    """(norms, (rows, cols, values)): the norms of the stacked rows and, in
+    row-major order, the nonzeros of the rows (with a floor: of the rows over
+    max(norm, floor)).  The rows are stacked a bounded block at a time; a
+    norm sums its own row only, so each is bit-for-bit that of the whole stack.
+    """
+    cols = prog.G_psd.shape[1] + prog.nonneg_count + prog.free_count
+    step = max(1, _CHUNK // max(1, cols))
+    norms, parts = [], []
+    for i in range(0, max(prog.n_rows, 1), step):  # one empty block without rows
+        B = _stack_rows(prog, slice(i, i + step))
+        norms.append(np.linalg.norm(B, axis=1))
+        if floor is not None:
+            B /= np.maximum(norms[-1], floor)[:, None]
+        r, c, v = _coo(B)
+        parts.append((r + i, c, v))
+    return np.concatenate(norms), tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def presolve_rank_check(prog: ConicProgram, quiet: bool = False) -> PresolveResult:
@@ -179,35 +205,35 @@ def presolve_rank_check(prog: ConicProgram, quiet: bool = False) -> PresolveResu
     1e-10 * ||row k||.  A dependent row whose rhs disagrees with the implied
     combination of kept rows by more than 1e-8 (relative) makes the program
     Infeasible; the combination is returned as an exact Farkas certificate.
+    Rows are stacked only for the QR and the combination.
     """
     rows = prog.n_rows
     if rows == 0:
         return PresolveResult(program=prog, dropped_rows=[])
-    G = _stack_rows(prog)
-    norms = np.linalg.norm(G, axis=1)
+    norms, (r, c, v) = _row_scan(prog)
     # rows with (numerically) zero coefficients are pure noise: 0 = rhs is
     # consistent, anything else is an exact Farkas certificate
     floor = 1e-12 * max(1.0, norms.max())
     zero_rows = [int(i) for i in np.nonzero(norms <= floor)[0]]
-    for r in zero_rows:
-        if abs(prog.rhs[r]) > RANK_RHS_MISMATCH * (1.0 + abs(prog.rhs[r])):
+    for z in zero_rows:
+        if abs(prog.rhs[z]) > RANK_RHS_MISMATCH * (1.0 + abs(prog.rhs[z])):
             y = np.zeros(rows)
-            y[r] = np.sign(prog.rhs[r])
+            y[z] = np.sign(prog.rhs[z])
             y /= prog.rhs @ y
             log.log(logging.DEBUG if quiet else logging.WARNING,
                     "presolve: zero row %d has rhs %.3e; program infeasible",
-                    r, prog.rhs[r])
+                    z, prog.rhs[z])
             return PresolveResult(program=prog, dropped_rows=zero_rows,
                                   infeasible=True, farkas_y=y)
-    live = np.flatnonzero(norms > floor)
-    if not live.size:
-        pruned = _keep_rows(prog, [])
-        return PresolveResult(program=pruned, dropped_rows=zero_rows)
-    own = _private_rows(G[live], norms[live])
-    kept, rest = live[own].tolist(), live[~own]
+    live = norms > floor
+    if not live.any():
+        return PresolveResult(program=_keep_rows(prog, []), dropped_rows=zero_rows)
+    on = live[r]
+    own = _private_rows((r[on], c[on], v[on]), norms)
+    kept, rest = np.flatnonzero(own).tolist(), np.flatnonzero(live & ~own)
     dependent = []
     if rest.size:
-        _, R, piv = scipy.linalg.qr(G[rest].T, mode="economic", pivoting=True)
+        _, R, piv = scipy.linalg.qr(_stack_rows(prog, rest).T, mode="economic", pivoting=True)
         diag = np.abs(np.diag(R))
         rank = 0
         for k in range(min(rest.size, R.shape[0])):
@@ -222,24 +248,24 @@ def presolve_rank_check(prog: ConicProgram, quiet: bool = False) -> PresolveResu
     if not dropped:
         return PresolveResult(program=prog, dropped_rows=[])
 
-    Gk = G[kept]
     bk = prog.rhs[kept]
     # zero rows were consistency-checked above
     if dependent:
-        combos, *_ = np.linalg.lstsq(Gk.T, G[dependent].T, rcond=None)
-    for j, r in enumerate(dependent):
+        combos, *_ = np.linalg.lstsq(_stack_rows(prog, kept).T,
+                                     _stack_rows(prog, dependent).T, rcond=None)
+    for j, d in enumerate(dependent):
         coeffs = combos[:, j]
-        mismatch = abs(prog.rhs[r] - coeffs @ bk)
-        if mismatch > RANK_RHS_MISMATCH * (1.0 + abs(prog.rhs[r])):
+        mismatch = abs(prog.rhs[d] - coeffs @ bk)
+        if mismatch > RANK_RHS_MISMATCH * (1.0 + abs(prog.rhs[d])):
             y = np.zeros(rows)
             y[kept] = coeffs
-            y[r] = -1.0
+            y[d] = -1.0
             if prog.rhs @ y < 0:
                 y = -y
             y /= prog.rhs @ y
             log.log(logging.DEBUG if quiet else logging.WARNING,
                     "presolve: row %d conflicts with a dependent combination "
-                    "(rhs mismatch %.3e); program infeasible", r, mismatch)
+                    "(rhs mismatch %.3e); program infeasible", d, mismatch)
             return PresolveResult(program=prog, dropped_rows=dropped,
                                   infeasible=True, farkas_y=y)
     log.log(logging.DEBUG if quiet else logging.WARNING,
@@ -247,9 +273,10 @@ def presolve_rank_check(prog: ConicProgram, quiet: bool = False) -> PresolveResu
     return PresolveResult(program=_keep_rows(prog, kept), dropped_rows=dropped)
 
 
-def _private_rows(G: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Mask of the rows that own a column: the singleton-column rule of
-    Andersen & Andersen (Presolving in linear programming, 1995), repeated.
+def _private_rows(coo: tuple, norms: np.ndarray) -> np.ndarray:
+    """Mask of the rows that own a column, from the (row, col, value) triples
+    of their nonzeros: the singleton-column rule of Andersen & Andersen
+    (Presolving in linear programming, 1995), repeated.
 
     A row that is the only nonzero of some column, with that coefficient
     above 1e-10 * its norm, lies outside the span of the other rows.  Setting
@@ -258,18 +285,20 @@ def _private_rows(G: np.ndarray, norms: np.ndarray) -> np.ndarray:
     already owned, of the rows set aside.  Each column's count only falls,
     so it is examined once after reaching one.
     """
-    nz = G != 0
-    counts = nz.sum(axis=0)
-    own = np.zeros(G.shape[0], dtype=bool)
+    r, c, v = coo
+    counts = np.bincount(c)
+    own = np.zeros(norms.size, dtype=bool)
     cols = np.flatnonzero(counts == 1)
     while cols.size:
-        r = np.argmax(nz[:, cols] & ~own[:, None], axis=0)
-        big = np.abs(G[r, cols]) > RANK_PIVOT_REL * norms[r]
-        new = np.unique(r[big])
+        single = np.zeros(counts.size, dtype=bool)
+        single[cols] = True
+        e = np.flatnonzero(single[c] & ~own[r])  # the one nonzero left in each
+        big = np.abs(v[e]) > RANK_PIVOT_REL * norms[r[e]]
+        new = np.unique(r[e][big])
         if not new.size:
             break
         own[new] = True
-        removed = nz[new].sum(axis=0)
+        removed = np.bincount(c[np.isin(r, new)], minlength=counts.size)
         counts -= removed
         cols = np.flatnonzero((counts == 1) & (removed > 0))
     return own
@@ -403,32 +432,37 @@ class _SchurRows:
     row and column strips, so no block is larger than M.
     """
 
-    def __init__(self, Gp: np.ndarray, Gn: np.ndarray, Gn_coo: tuple, d: int):
-        self.rows = Gp.shape[0]
-        counts = np.count_nonzero(Gp, axis=1)
+    def __init__(self, prog: ConicProgram, row_scale: np.ndarray, Gp_coo: tuple, Gn_coo: tuple,
+                 Gp: np.ndarray | None):
+        """Gp_coo, Gn_coo: the triples of the PSD and orthant blocks over
+        row_scale.  The dense rows are taken from Gp, the normalized PSD block,
+        where there is one (a view when they are consecutive); else they, like
+        the dense orthant columns, are cut from prog and divided by row_scale."""
+        d = self.d = prog.psd_order
+        self.rows = prog.n_rows
+        r, k, vals = Gp_coo
+        counts = np.bincount(r, minlength=self.rows)
         sparse = (counts > 0) & (counts <= d)
         self.sparse = np.flatnonzero(sparse)
         self.dense = np.flatnonzero(~sparse)
-        self.dense_idx = _span(self.dense)
-        self.Gd = Gp[self.dense_idx]
-        self.d = d
+        self.dense_idx = D = _span(self.dense)
+        self.Gd = prog.G_psd[D] / row_scale[D, None] if Gp is None else Gp[D]
 
         ii, jj, scale = svec_index(d)
-        r, k = np.nonzero(Gp[self.sparse])
-        r = self.sparse[r]
+        on = sparse[r]
+        r, k, vals = r[on], k[on], vals[on]
         slot = np.arange(r.size) - np.searchsorted(r, r)
         self.slots = []
         for t in range(int(slot.max()) + 1 if slot.size else 0):
             on = slot == t
-            rt, kt = r[on], k[on]
-            v = Gp[rt, kt]
+            rt, kt, v = r[on], k[on], vals[on]
             self.slots.append(_Slot(_span(rt), kt, ii[kt], jj[kt], v,
                                     v * scale[kt] / np.sqrt(2.0), v * scale[kt]))
 
         nr, nc, nv = Gn_coo
-        col_counts = np.bincount(nc, minlength=Gn.shape[1])
+        col_counts = np.bincount(nc, minlength=prog.nonneg_count)
         self.Gn_dense_cols = np.flatnonzero(col_counts > 1)
-        self.Gn_dense = Gn[:, self.Gn_dense_cols]
+        self.Gn_dense = prog.G_nonneg[:, self.Gn_dense_cols] / row_scale[:, None]
         single = col_counts[nc] == 1
         self.nn_rows, self.nn_cols, self.nn_vals = nr[single], nc[single], nv[single]
 
@@ -523,25 +557,28 @@ class _Workspace:
         self.c_nn = self.sense_sign * prog.obj_nonneg
         self.c_f = self.sense_sign * prog.obj_free
         # row normalization for conditioning; duals are rescaled on report
-        G = _stack_rows(prog)
-        self.row_scale = np.maximum(np.linalg.norm(G, axis=1), 1e-12)
-        self.Gp = prog.G_psd / self.row_scale[:, None]
-        self.Gn = prog.G_nonneg / self.row_scale[:, None]
+        norms, (r, c, v) = _row_scan(prog, floor=1e-12)
+        self.row_scale = np.maximum(norms, 1e-12)
         self.Gf = prog.G_free / self.row_scale[:, None]
         self.b = prog.rhs / self.row_scale
         self.rows = prog.n_rows
         self.nu = self.d + self.p
         self.cnorm = _inf_norm(self.c_psd, self.c_nn, self.c_f)
         self.bnorm = _inf_norm(self.b)
-        # G x and G^T y: from (row, col, value) triples when the rows hold no
-        # more nonzeros than rows + columns (the max-cut programs, with one to
-        # three per row), else the dense blocks (face-reduced programs)
-        Gn_coo = _coo(self.Gn)
-        cols = self.Gp.shape[1] + self.p + self.f
-        nnz = np.count_nonzero(self.Gp) + Gn_coo[0].size + np.count_nonzero(self.Gf)
-        self.coo = ((_coo(self.Gp), Gn_coo, _coo(self.Gf))
-                    if nnz <= self.rows + cols else None)
-        self.schur = _SchurRows(self.Gp, self.Gn, Gn_coo, self.d)
+        # G x and G^T y: from the normalized (row, col, value) triples of each
+        # block when the rows hold no more nonzeros than rows + columns (the
+        # max-cut programs, with one to three per row), else from the dense
+        # normalized blocks (face-reduced programs)
+        starts = np.array([0, self.c_psd.size, self.c_psd.size + self.p])
+        blk = np.searchsorted(starts, c, side="right") - 1
+        Gp_coo, Gn_coo, Gf_coo = ((r[blk == j], c[blk == j] - starts[j], v[blk == j])
+                                  for j in range(3))
+        self.coo = ((Gp_coo, Gn_coo, Gf_coo)
+                    if r.size <= self.rows + starts[2] + self.f else None)
+        dense = self.coo is None
+        self.Gp = prog.G_psd / self.row_scale[:, None] if dense else None
+        self.Gn = prog.G_nonneg / self.row_scale[:, None] if dense else None
+        self.schur = _SchurRows(prog, self.row_scale, Gp_coo, Gn_coo, self.Gp)
         # the KKT matrix [[M + reg I, Gf], [-Gf^T, reg I]], rows in the
         # program's order; only M and the regularization change per iteration
         self.K = np.zeros((self.rows + self.f, self.rows + self.f))
@@ -599,7 +636,7 @@ class _Workspace:
         if self.coo is None:
             return self.Gp.T @ y, self.Gn.T @ y, self.Gf.T @ y if free else None
         (rp, cp, vp), (rn, cn, vn), (rf, cf, vf) = self.coo
-        return (np.bincount(cp, vp * y[rp], self.Gp.shape[1]),
+        return (np.bincount(cp, vp * y[rp], self.c_psd.size),
                 np.bincount(cn, vn * y[rn], self.p),
                 np.bincount(cf, vf * y[rf], self.f) if free else None)
 
@@ -881,7 +918,8 @@ def _iterate(ws: _Workspace):
         except (scipy.linalg.LinAlgError, ValueError):
             return _stop(ws, "factor_failed")
 
-        u = Vz(c_ps) + ws.matvec(w2 * ws.c_nn)
+        w2c = w2 * ws.c_nn
+        u = Vz(c_ps) + ws.matvec(w2c)
         theta_c = float(c_ps @ c_ps + (w_nn * ws.c_nn) @ (w_nn * ws.c_nn))
         q = np.concatenate([ws.b - u, -ws.c_f])
         z2 = _solve_refined(K, lu, np.concatenate([u + ws.b, -ws.c_f]), ws.stats)
@@ -891,20 +929,22 @@ def _iterate(ws: _Workspace):
 
         lam_outer = 2.0 / np.add.outer(lam, lam)
 
-        def newton(t1, t2p, t2n, t2f, t3, Em, En, Et):
+        def newton(t1, t2p, t2n, t2f, t3, Em=None, En=None, Et=0.0):
             """Solve one linearized HSD system, hsd(d)[:5] = (t1, t2p, t2n, t2f, t3):
             G dx - b dtau = t1;  -G^T dy + c dtau - ds = t2 (free rows: no ds);
             b^T dy - c^T dx - dkappa = t3;  scaled complementarities = (Em, En, Et).
+            Em and En left out are zero, and their terms are skipped.
             """
-            Hm = Em * lam_outer
-            h = svec(Hm)
             t2s = svec(R.T @ smat(t2p) @ R)
             Wt2 = Vz(t2s) + ws.matvec(w2 * t2n)
-            cWt2 = float(c_ps @ t2s + (w2 * ws.c_nn) @ t2n)
-            Gh = Vz(h) + ws.matvec(En / pt.s_nn)
-            cGh = float(c_ps @ h + ws.c_nn @ (En / pt.s_nn))
-            r1 = t1 - Wt2 - Gh
-            r3 = t3 + Et / tau + cGh + cWt2
+            cWt2 = float(c_ps @ t2s + w2c @ t2n)
+            r1, r3 = t1 - Wt2, t3 + Et / tau
+            if Em is not None:
+                Hm = Em * lam_outer
+                h = svec(Hm)
+                r1 = r1 - (Vz(h) + ws.matvec(En / pt.s_nn))
+                r3 = r3 + float(c_ps @ h + ws.c_nn @ (En / pt.s_nn))
+            r3 = r3 + cWt2
             z1 = _solve_refined(K, lu, np.concatenate([r1, t2f]), ws.stats)
             dtau = (r3 - float(q @ z1)) / denom
             zz = z1 + dtau * z2
@@ -915,8 +955,10 @@ def _iterate(ws: _Workspace):
             arg_nn = gn - ws.c_nn * dtau + t2n
             ds_psd = -arg_psd
             ds_nn = -arg_nn
-            dx_psd = svec(R @ (R.T @ smat(arg_psd) @ R + Hm) @ R.T)
-            dx_nn = w2 * arg_nn + En / pt.s_nn
+            dx_psd, dx_nn = R.T @ smat(arg_psd) @ R, w2 * arg_nn
+            if Em is not None:
+                dx_psd, dx_nn = dx_psd + Hm, dx_nn + En / pt.s_nn
+            dx_psd = svec(R @ dx_psd @ R.T)
             dkappa = (Et - kappa * dtau) / tau
             return _Point(dx_psd, dx_nn, dxf, dy, ds_psd, ds_nn, dtau, dkappa)
 
@@ -932,7 +974,7 @@ def _iterate(ws: _Workspace):
             # attainable primal residual near the boundary
             for _ in range(2):
                 res_t = [a - b for a, b in zip(t, ws.hsd(dirn))]
-                corr = newton(*res_t, np.zeros((d, d)), np.zeros(p), 0.0)
+                corr = newton(*res_t)
                 dirn = dirn.step(1.0, corr)
             return dirn
 

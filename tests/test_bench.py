@@ -95,6 +95,26 @@ def test_profile_bound_metric_transform():
     assert curves["B"].rho_at(expected * 1.01) == 0.5
 
 
+def test_profile_tied_ratios_match_the_recount():
+    # ties within and across methods, a failure (+inf) and a ratio of
+    # exactly 1 everywhere: each breakpoint's share is the plain recount
+    costs = {"p1": (1, 2, 2), "p2": (3, 3, 6), "p3": (2, 4, 4), "p4": (1, 1, 1),
+             "p5": (2, 4, None)}
+    records = [rec(p, m, iters=c, status="Optimal" if c else "NumericalTrouble")
+               for p, row in costs.items() for m, c in zip("ABC", row)]
+    curves = performance_profile(records, metric="iters")
+    for curve in curves:
+        ratios = []
+        for row in costs.values():
+            c = row["ABC".index(curve.method)]
+            ratios.append(c / min(x for x in row if x) if c else np.inf)
+        finite = sorted(r for r in ratios if np.isfinite(r))
+        want = [(tau, sum(1 for r in finite if r <= tau) / len(costs))
+                for tau in sorted(set([1.0] + finite))]
+        assert curve.points == want
+    assert {c.method: c.points[-1][1] for c in curves} == {"A": 1.0, "B": 1.0, "C": 0.8}
+
+
 def test_profile_missing_pair_rejected():
     records = [rec("p1", "A", iters=1), rec("p1", "B", iters=2), rec("p2", "A", iters=1)]
     with pytest.raises(ValueError, match="missing"):
@@ -178,6 +198,15 @@ def test_bound_order_report_flags_violations():
     rep = bound_order_report(records, tol=1e-5)
     assert len(rep.order_violations) == 1      # sdr1 above sdr2
     assert len(rep.equality_violations) == 1   # sdr2 != dnnp
+
+
+def test_bound_order_report_ignores_bounds_of_unsolved_records():
+    # a stalled sdr1 solve still carries a finite primal objective: it is
+    # no bound, so it cannot violate the order
+    records = [rec("p1", "sdr1", bound=5.0, status="NumericalTrouble"),
+               rec("p1", "sdr2", bound=4.0), rec("p1", "dnnp", bound=4.0)]
+    rep = bound_order_report(records, tol=1e-5)
+    assert rep.ok and rep.order_violations == []
 
 
 def test_bound_order_report_missing_method():

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -441,9 +442,17 @@ SCHUR_PROGRAMS = {
 }
 
 
+def normalized_blocks(prog, ws):
+    """The program's (G_psd, G_nonneg, G_free) over the workspace's row
+    scales: the reference for what the workspace keeps of them."""
+    return tuple(G / ws.row_scale[:, None] for G in (prog.G_psd, prog.G_nonneg, prog.G_free))
+
+
 @pytest.mark.parametrize("name", sorted(SCHUR_PROGRAMS))
 def test_schur_block_matches_congruence_reference(name):
-    ws = _Workspace(SCHUR_PROGRAMS[name](), SolverSettings())
+    prog = SCHUR_PROGRAMS[name]()
+    ws = _Workspace(prog, SolverSettings())
+    Gp, Gn, Gf = normalized_blocks(prog, ws)
     rows = ws.schur
     if name.startswith("mc_"):
         assert rows.dense.size == 0
@@ -454,10 +463,10 @@ def test_schur_block_matches_congruence_reference(name):
         R = rng.standard_normal((ws.d, ws.d))
         w2 = rng.uniform(0.1, 2.0, ws.p)
         K, Vz = ws.kkt(R, w2)
-        V = kernels.scaled_congruence_rows(ws.Gp, R)
-        M = V @ V.T + (ws.Gn * w2) @ ws.Gn.T
+        V = kernels.scaled_congruence_rows(Gp, R)
+        M = V @ V.T + (Gn * w2) @ Gn.T
         reg = solver.KKT_REGULARIZATION * max(1.0, np.abs(M).max())
-        ref = np.block([[M, ws.Gf], [-ws.Gf.T, np.zeros((ws.f, ws.f))]])
+        ref = np.block([[M, Gf], [-Gf.T, np.zeros((ws.f, ws.f))]])
         ref += reg * np.eye(ws.rows + ws.f)
         assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
         z = rng.standard_normal(V.shape[1])
@@ -523,6 +532,23 @@ def test_mixed_sparse_dense_rows_certified():
     assert rep.ok, rep.failed()
 
 
+def test_maxcut_solve_copies_no_dense_rows():
+    # presolve, the workspace and the Schur setup take the rows as triples
+    # and stack them a bounded block at a time: the solve allocates less
+    # than one copy of G_psd above the program (three when the rows were
+    # stacked, squared and normalized whole)
+    prog, _ = build_mc_sdr(random_graph(150, seed=1, density=0.5))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sol = solve(prog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == STATUS_OPTIMAL
+    assert peak - base < prog.G_psd.nbytes
+
+
 # ------------------------------------------------------------ sparse rows
 
 def full_qr_dropped(prog):
@@ -581,6 +607,20 @@ def test_presolve_matches_full_qr(name):
     assert pre.program.n_rows == prog.n_rows - len(pre.dropped_rows)
     if name.endswith("-face"):  # the builder already dropped the rows the face implies
         assert pre.dropped_rows == []
+
+
+@pytest.mark.parametrize("name", sorted(ROW_PROGRAMS))
+def test_row_blocks_match_the_whole_stack(monkeypatch, name):
+    # one row per stacked block: the norms and normalized triples are
+    # bit-for-bit those of the whole stack
+    prog = ROW_PROGRAMS[name]()
+    monkeypatch.setattr(solver, "_CHUNK", 1)
+    norms, coo = solver._row_scan(prog, floor=1e-12)
+    G = np.hstack([prog.G_psd, prog.G_nonneg, prog.G_free])
+    whole = np.linalg.norm(G, axis=1)
+    np.testing.assert_array_equal(norms, whole)
+    for got, want in zip(coo, solver._coo(G / np.maximum(whole, 1e-12)[:, None])):
+        np.testing.assert_array_equal(got, want)
 
 
 def copied_kkt(ws, R, w2):
@@ -839,9 +879,10 @@ MATVEC_PROGRAMS = {
 
 @pytest.mark.parametrize("name", sorted(MATVEC_PROGRAMS))
 def test_index_matvecs_match_dense(name):
-    ws = _Workspace(MATVEC_PROGRAMS[name](), SolverSettings())
+    prog = MATVEC_PROGRAMS[name]()
+    ws = _Workspace(prog, SolverSettings())
     assert ws.coo is not None
-    blocks = (ws.Gp, ws.Gn, ws.Gf)
+    blocks = normalized_blocks(prog, ws)
     rng = np.random.default_rng(3)
     xs = [rng.standard_normal(G.shape[1]) for G in blocks]
     y = rng.standard_normal(ws.rows)
@@ -855,7 +896,7 @@ def test_index_matvecs_match_dense(name):
         assert np.all(np.abs(got - ref)[~one] <= 1e-15 * scale[~one])
 
     check(ws.matvec(xs[1], xs[0], xs[2]), np.hstack(blocks), np.concatenate(xs))
-    check(ws.matvec(xs[1]), ws.Gn, xs[1])
+    check(ws.matvec(xs[1]), blocks[1], xs[1])
     for G, g in zip(blocks, ws.rmatvec(y)):
         check(g, G.T, y)
 
