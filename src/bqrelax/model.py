@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .rng import SplitMix64
-from .symcone import DimensionError
+from .symcone import DimensionError, NumericError
 
 GENERATOR_KINDS = ("RdnBQP", "RdiBQP", "RdBQP", "RdsBQP")
 
@@ -57,6 +57,8 @@ class BqpInstance:
             A = A.reshape(0, self.c.shape[0])
         self.A = _readonly(np.atleast_2d(A))
         self.b = _readonly(np.atleast_1d(self.b) if np.size(self.b) else np.zeros(0))
+        if not all(np.isfinite(a).all() for a in (self.Q, self.c, self.A, self.b)):
+            raise NumericError("Q, c, A and b must be finite")
         n = self.Q.shape[0]
         if self.Q.shape != (n, n):
             raise DimensionError("Q must be square")
@@ -88,6 +90,8 @@ class MaxCutGraph:
         W = np.asarray(self.W, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise DimensionError("W must be square")
+        if not np.isfinite(W).all():
+            raise NumericError("W must be finite")
         if not np.array_equal(W, W.T):
             raise DimensionError("W must be symmetric")
         if np.any(np.diag(W) != 0.0):
@@ -206,17 +210,22 @@ def generate_instance(kind: str, n: int, m: int, seed: int, planted: bool = True
 
 
 def random_graph(n: int, seed: int, density: float = 1.0) -> MaxCutGraph:
-    """Random weighted graph: weights uniform [0,1); pairs kept with probability ``density``."""
+    """Random weighted graph: weights uniform [0,1); pairs kept with probability ``density``.
+
+    Pairs i < j are drawn row by row, each a weight and, when density < 1,
+    then a uniform that keeps the pair if below ``density``.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
+    i, j = np.triu_indices(n, 1)
     stream = SplitMix64(seed)
+    if density >= 1.0:
+        w = stream.uniforms(i.size)
+    else:
+        u = stream.uniforms(2 * i.size)
+        w = np.where(u[1::2] < density, u[0::2], 0.0)
     W = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = stream.uniforms(1)[0]
-            keep = True if density >= 1.0 else bool(stream.uniforms(1)[0] < density)
-            if keep:
-                W[i, j] = W[j, i] = w
+    W[i, j] = W[j, i] = w
     return MaxCutGraph(W=W)
 
 
@@ -239,11 +248,8 @@ def instance_to_dict(inst: BqpInstance) -> dict:
 def instance_from_dict(obj: dict) -> BqpInstance:
     n = int(obj["n"])
     m = int(obj["m"])
-    Q = np.array(obj["Q"], dtype=float).reshape(n, n)
-    if not np.array_equal(Q, Q.T):
-        raise ValueError("instance rejected: Q is not exactly symmetric")
     return BqpInstance(
-        Q=Q,
+        Q=np.array(obj["Q"], dtype=float).reshape(n, n),
         c=np.array(obj["c"], dtype=float).reshape(n),
         A=np.array(obj["A"], dtype=float).reshape(m, n),
         b=np.array(obj["b"], dtype=float).reshape(m),

@@ -10,6 +10,11 @@ The BQP builders attach the face that holds every feasible PSD block
 proof as a row combination and the rows it makes redundant; the solver
 reduces onto it instead of searching for it.
 
+Rows are written in place into arrays of the program's final size, one
+vectorized write per block of rows (diagonal, coupling, quadratic, cut,
+link, entrywise), each PSD coefficient F_ij (i >= j) at its svec position
+i(i+1)/2 + j times the svec scale; no row is formed as a d x d matrix.
+
 Builders:
   build_sdr     - X PSD, x free, no coupling between them
   build_sdr1    - single lifted (1+n) PSD block [[1, x^T], [x, X]]
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BqpInstance, MaxCutGraph, laplacian
-from .symcone import DimensionError, lifted_matrix, svec, svec_len
+from .symcone import SQRT2, DimensionError, lifted_matrix, svec, svec_len
 
 
 @dataclass(eq=False)
@@ -173,97 +178,97 @@ class VariableMap:
 
 
 class _Builder:
-    def __init__(self, sense, d, p, f, label):
+    """A program's row blocks, allocated at their final size and filled in
+    place a block of rows at a time.
+
+    ``rows`` claims the next rows and sets their rhs.  ``psd`` writes one
+    entry F_ij = F_ji (i >= j) of each row's tr(F Y) at its svec position
+    i(i+1)/2 + j, times the svec scale (sqrt(2) off the diagonal), so a row
+    is written as its nonzeros only.
+    """
+
+    def __init__(self, sense, d, p, f, label, n_rows):
         self.sense, self.d, self.p, self.f, self.label = sense, d, p, f, label
-        self.rows_psd, self.rows_nn, self.rows_free, self.rhs = [], [], [], []
+        self.G_psd = np.zeros((n_rows, svec_len(d)))
+        self.G_nonneg = np.zeros((n_rows, p))
+        self.G_free = np.zeros((n_rows, f))
+        self.rhs = np.zeros(n_rows)
+        self.top = 0
 
-    def add_row(self, psd_mat=None, nn=None, free=None, rhs=0.0):
-        sd = svec_len(self.d)
-        self.rows_psd.append(svec(psd_mat) if psd_mat is not None else np.zeros(sd))
-        self.rows_nn.append(np.asarray(nn, dtype=float) if nn is not None else np.zeros(self.p))
-        self.rows_free.append(np.asarray(free, dtype=float) if free is not None else np.zeros(self.f))
-        self.rhs.append(float(rhs))
+    def rows(self, rhs):
+        """Indices of the next len(rhs) rows, their rhs set."""
+        r = np.arange(self.top, self.top + len(rhs))
+        self.rhs[r] = rhs
+        self.top += len(rhs)
+        return r
 
-    def finish(self, obj_psd_mat, obj_nn, obj_free, offset, face=None) -> ConicProgram:
-        sd = svec_len(self.d)
-        rows = len(self.rhs)
+    def psd(self, r, i, j, f):
+        """F_ij = F_ji = f in rows r; r, i >= j and f broadcast together."""
+        self.G_psd[r, i * (i + 1) // 2 + j] = np.where(i == j, f, f * SQRT2)
+
+    def own_slacks(self, r):
+        """-s_k in row r[k]: each row of the block gets its own slack s_k >= 0."""
+        self.G_nonneg[r, np.arange(len(r))] = -1.0
+
+    def finish(self, C, offset, face=None, obj_free=None) -> ConicProgram:
         return ConicProgram(
             sense=self.sense,
             psd_order=self.d,
             nonneg_count=self.p,
             free_count=self.f,
-            obj_psd=svec(obj_psd_mat) if obj_psd_mat is not None else np.zeros(sd),
-            obj_nonneg=np.asarray(obj_nn, dtype=float) if obj_nn is not None else np.zeros(self.p),
-            obj_free=np.asarray(obj_free, dtype=float) if obj_free is not None else np.zeros(self.f),
+            obj_psd=svec(C),
+            obj_nonneg=np.zeros(self.p),
+            obj_free=np.zeros(self.f) if obj_free is None else obj_free,
             offset=float(offset),
-            G_psd=np.array(self.rows_psd).reshape(rows, sd),
-            G_nonneg=np.array(self.rows_nn).reshape(rows, self.p),
-            G_free=np.array(self.rows_free).reshape(rows, self.f),
-            rhs=np.array(self.rhs),
+            G_psd=self.G_psd,
+            G_nonneg=self.G_nonneg,
+            G_free=self.G_free,
+            rhs=self.rhs,
             label=self.label,
             face=face,
         )
 
 
-def _e_diag(d, i):
-    M = np.zeros((d, d))
-    M[i, i] = 1.0
-    return M
+def _diag_rows(bld, lo, hi):
+    """Y_ii = 1 for lo <= i < hi."""
+    i = np.arange(lo, hi)
+    bld.psd(bld.rows(np.ones(i.size)), i, i, 1.0)
 
 
-def _sym_pair(d, k, l, val=1.0):
-    """Symmetric matrix F with tr(F Y) = val * Y_kl (k != l) or val * Y_kk."""
-    M = np.zeros((d, d))
-    if k == l:
-        M[k, k] = val
-    else:
-        M[k, l] = M[l, k] = val / 2.0
-    return M
+def _coupling_rows(bld, A, b):
+    """a_i^T x = b_i with x = Y[1:, 0] of a lifted block."""
+    bld.psd(bld.rows(b)[:, None], np.arange(1, A.shape[1] + 1), 0, A / 2.0)
 
 
-def _vec_coupling(d, a, at=0):
-    """F with tr(F Y) = a^T Y[at, at+1:] for the lifted block."""
-    M = np.zeros((d, d))
-    M[at, at + 1:] = np.asarray(a, dtype=float) / 2.0
-    M[at + 1:, at] = np.asarray(a, dtype=float) / 2.0
-    return M
-
-
-def _quad_block(d, a):
-    """F with tr(F Y) = a^T X a where X = Y[1:, 1:]."""
-    M = np.zeros((d, d))
-    M[1:, 1:] = np.outer(a, a)
-    return M
+def _quad_rows(bld, A, b, at, scale=1.0):
+    """scale * a_i^T X a_i = b_i^2 with X = Y[at:, at:].  Each b_i^2 is a
+    scalar square: an array's ``b ** 2`` can differ in the last bit."""
+    k, l = np.tril_indices(A.shape[1])
+    r = bld.rows([v ** 2 for v in b])
+    bld.psd(r[:, None], at + k, at + l, scale * (A[:, k] * A[:, l]))
 
 
 def build_sdr(inst: BqpInstance):
     """Standard SDR: X PSD with unit diagonal, x free; x and X are uncoupled."""
     n, m = inst.n, inst.m
-    bld = _Builder("min", n, 0, n, "sdr")
-    for i in range(m):
-        bld.add_row(free=inst.A[i], rhs=inst.b[i])
-    for i in range(m):
-        bld.add_row(psd_mat=np.outer(inst.A[i], inst.A[i]), rhs=inst.b[i] ** 2)
-    for i in range(n):
-        bld.add_row(psd_mat=_e_diag(n, i), rhs=1.0)
+    bld = _Builder("min", n, 0, n, "sdr", 2 * m + n)
+    bld.G_free[bld.rows(inst.b)] = inst.A
+    _quad_rows(bld, inst.A, inst.b, 0)
+    _diag_rows(bld, 0, n)
     # a^T X a = 0 forces X a = 0; on that face the quadratic row reads 0 = 0
     quad = [m + i for i in range(m) if inst.b[i] == 0.0 and np.any(inst.A[i])]
     face = Face(kernel=np.column_stack([inst.A[r - m] for r in quad]),
                 rows=np.array(quad)[:, None], coeffs=np.ones((len(quad), 1)),
                 implied=np.array(quad)) if quad else None
-    return bld.finish(inst.Q, None, 2.0 * inst.c, 0.0, face), VariableMap(kind="split", n=n, space="x")
+    return bld.finish(inst.Q, 0.0, face, obj_free=2.0 * inst.c), VariableMap(kind="split", n=n, space="x")
 
 
-def _lifted_common(bld, inst):
-    n, m = inst.n, inst.m
-    d = 1 + n
-    bld.add_row(psd_mat=_e_diag(d, 0), rhs=1.0)
-    for i in range(m):
-        bld.add_row(psd_mat=_vec_coupling(d, inst.A[i]), rhs=inst.b[i])
-    for i in range(m):
-        bld.add_row(psd_mat=_quad_block(d, inst.A[i]), rhs=inst.b[i] ** 2)
-    for i in range(n):
-        bld.add_row(psd_mat=_e_diag(d, 1 + i), rhs=1.0)
+def _lifted_rows(bld, inst):
+    """Y00 = 1, a_i^T x = b_i, a_i^T X a_i = b_i^2 and X_ii = 1, in this order."""
+    _diag_rows(bld, 0, 1)
+    _coupling_rows(bld, inst.A, inst.b)
+    _quad_rows(bld, inst.A, inst.b, 1)
+    _diag_rows(bld, 1, 1 + inst.n)
 
 
 def _lifted_face(A, b, lin):
@@ -296,38 +301,28 @@ def _lifted_objective(Q, c):
 
 def build_sdr1(inst: BqpInstance):
     """Lifted SDR: one (1+n) PSD block with Y00 = 1 pinning the lift."""
-    n = inst.n
-    bld = _Builder("min", 1 + n, 0, 0, "sdr1")
-    _lifted_common(bld, inst)
-    prog = bld.finish(_lifted_objective(inst.Q, inst.c), None, None, 0.0, _lifted_face(inst.A, inst.b, 1))
+    n, m = inst.n, inst.m
+    bld = _Builder("min", 1 + n, 0, 0, "sdr1", 1 + 2 * m + n)
+    _lifted_rows(bld, inst)
+    prog = bld.finish(_lifted_objective(inst.Q, inst.c), 0.0, _lifted_face(inst.A, inst.b, 1))
     return prog, VariableMap(kind="lifted", n=n, space="x")
 
 
 def build_sdr2(inst: BqpInstance):
     """SDR1 plus pairwise cuts 1 - x_i - x_j + X_ij >= 0 (1 <= i <= j <= n) via slacks."""
-    n = inst.n
-    d = 1 + n
+    n, m = inst.n, inst.m
     p = n * (n + 1) // 2
-    bld = _Builder("min", d, p, 0, "sdr2")
-    _lifted_common(bld, inst)
-    k = 0
-    for i in range(n):
-        for j in range(i, n):
-            # -x_i - x_j + X_ij - s = -1
-            F = _sym_pair(d, 1 + i, 1 + j)
-            F += _vec_coupling_entry(d, 1 + i, -1.0)
-            F += _vec_coupling_entry(d, 1 + j, -1.0)
-            slack = np.zeros(p)
-            slack[k] = -1.0
-            bld.add_row(psd_mat=F, nn=slack, rhs=-1.0)
-            k += 1
-    prog = bld.finish(_lifted_objective(inst.Q, inst.c), None, None, 0.0, _lifted_face(inst.A, inst.b, 1))
+    bld = _Builder("min", 1 + n, p, 0, "sdr2", 1 + 2 * m + n + p)
+    _lifted_rows(bld, inst)
+    # X_ij - x_i - x_j - s = -1, row by row over i <= j; x_i + x_j = 2 x_i when i = j
+    i, j = np.triu_indices(n)
+    r = bld.rows(np.full(p, -1.0))
+    bld.psd(r, 1 + j, 1 + i, np.where(i == j, 1.0, 0.5))
+    bld.psd(r, 1 + i, 0, -0.5)
+    bld.psd(r, 1 + j, 0, np.where(i == j, -1.0, -0.5))
+    bld.own_slacks(r)
+    prog = bld.finish(_lifted_objective(inst.Q, inst.c), 0.0, _lifted_face(inst.A, inst.b, 1))
     return prog, VariableMap(kind="lifted", n=n, space="x")
-
-
-def _vec_coupling_entry(d, i, val):
-    """F with tr(F Y) = val * Y_{0,i}."""
-    return _sym_pair(d, 0, i, val)
 
 
 @dataclass
@@ -358,21 +353,21 @@ def build_zspace(inst: BqpInstance) -> ZSpaceData:
 
 
 def _dnn_link_rows(bld, d):
-    """Y00 = 1 and Y_ii = Y_0i (i >= 1) of a lifted DNN block of order d."""
-    bld.add_row(psd_mat=_e_diag(d, 0), rhs=1.0)
-    for i in range(1, d):
-        bld.add_row(psd_mat=_e_diag(d, i) + _vec_coupling_entry(d, i, -1.0), rhs=0.0)
+    """Y00 = 1 and Y_ii - Y_0i = 0 (i >= 1) of a lifted DNN block of order d."""
+    _diag_rows(bld, 0, 1)
+    i = np.arange(1, d)
+    r = bld.rows(np.zeros(d - 1))
+    bld.psd(r, i, i, 1.0)
+    bld.psd(r, i, 0, -0.5)
 
 
 def _entrywise_rows(bld, d):
-    """Y_ij - s_k = 0 for every upper-triangular entry, with its own slack s_k >= 0."""
-    k = 0
-    for i in range(d):
-        for j in range(i, d):
-            slack = np.zeros(bld.p)
-            slack[k] = -1.0
-            bld.add_row(psd_mat=_sym_pair(d, i, j), nn=slack, rhs=0.0)
-            k += 1
+    """Y_ij - s_k = 0 for every upper-triangular entry (i <= j, row by row),
+    with its own slack s_k >= 0."""
+    i, j = np.triu_indices(d)
+    r = bld.rows(np.zeros(i.size))
+    bld.psd(r, j, i, np.where(i == j, 1.0, 0.5))
+    bld.own_slacks(r)
 
 
 def build_dnnp(inst: BqpInstance):
@@ -384,30 +379,24 @@ def build_dnnp(inst: BqpInstance):
     """
     n, m = inst.n, inst.m
     d = 1 + n
-    p = (n + 1) * (n + 2) // 2
+    p = d * (d + 1) // 2
     zs = build_zspace(inst)
-    bld = _Builder("min", d, p, 0, "dnnp")
+    bld = _Builder("min", d, p, 0, "dnnp", d + 2 * m + p)
     _dnn_link_rows(bld, d)
-    for i in range(m):
-        bld.add_row(psd_mat=_vec_coupling(d, zs.Az[i]), rhs=zs.bz[i])
-    for i in range(m):
-        F = np.zeros((d, d))
-        F[1:, 1:] = 4.0 * np.outer(inst.A[i], inst.A[i])
-        bld.add_row(psd_mat=F, rhs=zs.bz[i] ** 2)
+    _coupling_rows(bld, zs.Az, zs.bz)
+    _quad_rows(bld, inst.A, zs.bz, 1, scale=4.0)
     _entrywise_rows(bld, d)
     C = _lifted_objective(4.0 * inst.Q, zs.qz / 2.0)
-    prog = bld.finish(C, None, None, zs.constz, _lifted_face(zs.Az, zs.bz, 1 + n))
+    prog = bld.finish(C, zs.constz, _lifted_face(zs.Az, zs.bz, 1 + n))
     return prog, VariableMap(kind="lifted", n=n, space="z")
 
 
 def build_mc_sdr(G: MaxCutGraph):
     """Max-cut SDR: max (1/4) L . U over unit-diagonal PSD U."""
     n = G.n
-    L = laplacian(G)
-    bld = _Builder("max", n, 0, 0, "mc_sdr")
-    for i in range(n):
-        bld.add_row(psd_mat=_e_diag(n, i), rhs=1.0)
-    prog = bld.finish(L / 4.0, None, None, 0.0)
+    bld = _Builder("max", n, 0, 0, "mc_sdr", n)
+    _diag_rows(bld, 0, n)
+    prog = bld.finish(laplacian(G) / 4.0, 0.0)
     return prog, VariableMap(kind="psd", n=n, space="u")
 
 
@@ -419,14 +408,14 @@ def build_mc_dnnp(G: MaxCutGraph):
     """
     n = G.n
     d = 1 + n
-    p = (n + 1) * (n + 2) // 2
+    p = d * (d + 1) // 2
     L = laplacian(G)
     Le = L @ np.ones(n)
-    bld = _Builder("max", d, p, 0, "mc_dnnp")
+    bld = _Builder("max", d, p, 0, "mc_dnnp", d + p)
     _dnn_link_rows(bld, d)
     _entrywise_rows(bld, d)
     offset = float(np.ones(n) @ L @ np.ones(n)) / 4.0
-    prog = bld.finish(_lifted_objective(L, -Le / 2.0), None, None, offset)
+    prog = bld.finish(_lifted_objective(L, -Le / 2.0), offset)
     return prog, VariableMap(kind="lifted", n=n, space="x")
 
 

@@ -219,6 +219,36 @@ def test_bad_solver_settings_exit_2(flags, env):
     assert "Traceback" not in proc.stderr
 
 
+def nonfinite_files(tmp_path):
+    """One instance file per non-finite entry of Q, c, A and b, and a graph
+    file with a NaN and one with an infinite weight."""
+    base = json.loads(Path(TIGHT).read_text())
+    files = []
+    for key, bad in [("Q", float("nan")), ("c", float("nan")), ("A", float("inf")),
+                     ("b", float("-inf"))]:
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({**base, key: [bad] + base[key][1:]}))
+        files.append(("instance", path))
+    for w in ("nan", "inf"):
+        path = tmp_path / f"{w}.graph"
+        path.write_text(f"3\n1 2 1.0\n2 3 {w}\n")
+        files.append(("graph", path))
+    return files
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--relax", "sdr1"], ["compare"], ["verify", "--mode", "thm3"], ["oracle"],
+    ["maxcut", "--relax", "sdr"], ["verify", "--mode", "thm4"],
+], ids=["solve", "compare", "thm3", "oracle", "maxcut", "thm4"])
+def test_nonfinite_input_is_usage_error(tmp_path, capsys, command):
+    kind = "graph" if command[0] == "maxcut" or "thm4" in command else "instance"
+    for what, path in nonfinite_files(tmp_path):
+        if what == kind:
+            code, stdout, err = run(capsys, *command, str(path))
+            assert (code, stdout) == (2, "")
+            assert err.startswith(f"error: cannot read {kind}") and "finite" in err
+
+
 def test_gen_unwritable_path_exit_4(capsys):
     code, _, err = run(capsys, "gen", "--kind", "rdbqp", "--n", "4", "--m", "1",
                        "--seed", "1", "--out", "/nonexistent-dir/x.json")

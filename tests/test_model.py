@@ -20,7 +20,8 @@ from bqrelax.model import (
     save_graph,
     save_instance,
 )
-from bqrelax.symcone import DimensionError
+from bqrelax.rng import SplitMix64
+from bqrelax.symcone import DimensionError, NumericError
 
 
 def unit_triangle():
@@ -289,3 +290,36 @@ def test_instance_validation():
                     A=np.zeros((0, 2)), b=np.zeros(0))
     with pytest.raises(DimensionError):
         MaxCutGraph(W=np.array([[1.0, 0.0], [0.0, 0.0]]))  # nonzero diagonal
+    # non-finite data is refused as such, ahead of the symmetry check
+    data = dict(Q=np.eye(2), c=np.zeros(2), A=np.ones((1, 2)), b=np.zeros(1))
+    for key, bad in [("Q", np.array([[0.0, np.nan], [1.0, 0.0]])),
+                     ("Q", np.diag([np.inf, 1.0])),
+                     ("c", np.array([np.nan, 0.0])),
+                     ("A", np.array([[1.0, -np.inf]])),
+                     ("b", np.array([np.nan]))]:
+        with pytest.raises(NumericError):
+            BqpInstance(**{**data, key: bad})
+    for w in (np.nan, np.inf):
+        with pytest.raises(NumericError):
+            MaxCutGraph(W=np.array([[0.0, w], [1.0, 0.0]]))
+
+
+def random_graph_by_pairs(n, seed, density=1.0):
+    """The pair-at-a-time draw that ``random_graph`` does in one call."""
+    stream = SplitMix64(seed)
+    W = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = stream.uniforms(1)[0]
+            keep = True if density >= 1.0 else bool(stream.uniforms(1)[0] < density)
+            if keep:
+                W[i, j] = W[j, i] = w
+    return W
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+@pytest.mark.parametrize("density", [0.0, 0.25, 0.999, 1.0, 1.5])
+def test_random_graph_matches_pair_by_pair_draws(n, density):
+    for seed in (0, 5, 2**64 - 1):
+        W = random_graph(n, seed, density).W
+        assert W.tobytes() == random_graph_by_pairs(n, seed, density).tobytes()

@@ -1,10 +1,19 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bqrelax.model import BqpInstance, MaxCutGraph, bqp_objective, generate_instance, laplacian
+from bqrelax.model import (
+    GENERATOR_KINDS,
+    BqpInstance,
+    MaxCutGraph,
+    bqp_objective,
+    generate_instance,
+    laplacian,
+    random_graph,
+)
 from bqrelax.relax import (
     VariableMap,
     build_dnnp,
@@ -14,6 +23,8 @@ from bqrelax.relax import (
     build_sdr1,
     build_sdr2,
     build_zspace,
+    MAXCUT_BUILDERS,
+    RELAXATION_BUILDERS,
 )
 from bqrelax.symcone import DimensionError, lifted_matrix, svec
 
@@ -278,3 +289,112 @@ def test_debug_json_roundtrips():
     obj = json.loads(prog.to_debug_json())
     assert obj["psd_order"] == 4
     assert len(obj["rows"]) == prog.n_rows
+
+
+# ------------------------------------------------------------ rows against their dense matrices
+
+def sym(d, i, j, v):
+    """d x d F with F_ij = F_ji = v, zero elsewhere."""
+    F = np.zeros((d, d))
+    F[i, j] = F[j, i] = v
+    return F
+
+
+def lin(d, a):
+    """F with tr(F Y) = a^T Y[1:, 0]."""
+    F = np.zeros((d, d))
+    F[0, 1:] = F[1:, 0] = a / 2.0
+    return F
+
+
+def quad(d, a, scale=1.0):
+    """F with tr(F Y) = scale * a^T Y[-n:, -n:] a."""
+    F = np.zeros((d, d))
+    F[d - a.size:, d - a.size:] = scale * np.outer(a, a)
+    return F
+
+
+def lifted_dnn_rows(d):
+    """Y00 = 1, Y_ii - Y_0i = 0, then Y_ij - s_k = 0 over i <= j, row by row."""
+    rows = [(sym(d, 0, 0, 1.0), None, 1.0)]
+    rows += [(sym(d, i, i, 1.0) + sym(d, i, 0, -0.5), None, 0.0) for i in range(1, d)]
+    return rows, [(sym(d, i, j, 1.0 if i == j else 0.5), 0.0) for i in range(d) for j in range(i, d)]
+
+
+def dense_rows(name, data):
+    """Each row of a builder's program from its explicit F_i: rows (F, free
+    coefficients or None, rhs), then the rows (F, rhs) that own slack k."""
+    if name == "mc_sdr":
+        return [(sym(data.n, i, i, 1.0), None, 1.0) for i in range(data.n)], []
+    if name == "mc_dnnp":
+        return lifted_dnn_rows(1 + data.n)
+    A, b, n = data.A, data.b, data.n
+    if name == "sdr":
+        rows = [(np.zeros((n, n)), a, bi) for a, bi in zip(A, b)]
+        rows += [(quad(n, a), None, bi ** 2) for a, bi in zip(A, b)]
+        return rows + [(sym(n, i, i, 1.0), None, 1.0) for i in range(n)], []
+    d = 1 + n
+    if name == "dnnp":
+        zs = build_zspace(data)
+        rows, owned = lifted_dnn_rows(d)
+        rows += [(lin(d, a), None, bi) for a, bi in zip(zs.Az, zs.bz)]
+        rows += [(quad(d, a, 4.0), None, bi ** 2) for a, bi in zip(A, zs.bz)]
+        return rows, owned
+    rows = [(sym(d, 0, 0, 1.0), None, 1.0)]
+    rows += [(lin(d, a), None, bi) for a, bi in zip(A, b)]
+    rows += [(quad(d, a), None, bi ** 2) for a, bi in zip(A, b)]
+    rows += [(sym(d, i, i, 1.0), None, 1.0) for i in range(1, d)]
+    cuts = [(sym(d, 1 + i, 1 + j, 1.0 if i == j else 0.5) + sym(d, 0, 1 + i, -0.5)
+             + sym(d, 0, 1 + j, -0.5), -1.0) for i in range(n) for j in range(i, n)]
+    return rows, cuts if name == "sdr2" else []
+
+
+def assert_rows_are_dense_svecs(prog, name, data):
+    rows, owned = dense_rows(name, data)
+    free = [np.zeros(prog.free_count) if g is None else g for _, g, _ in rows]
+    G_nonneg = np.zeros((len(rows) + len(owned), len(owned)))
+    np.fill_diagonal(G_nonneg[len(rows):], -1.0)
+    want = {
+        "G_psd": np.array([svec(F) for F, *_ in rows] + [svec(F) for F, _ in owned]),
+        "G_nonneg": G_nonneg,
+        "G_free": np.array(free + [np.zeros(prog.free_count)] * len(owned)),
+        "rhs": np.array([float(r) for *_, r in rows] + [float(r) for _, r in owned]),
+    }
+    for field, a in want.items():
+        got = getattr(prog, field)
+        assert got.shape == a.shape and got.tobytes() == a.tobytes(), field
+
+
+# (kind, n, m, seed, planted); in the last two, some b_i^2 resp. (Ae - b)_i^2
+# computed as an array's ``b ** 2`` differs in the last bit from the scalar's
+BQP_GRID = [(kind, n, m, 2, planted) for kind in GENERATOR_KINDS
+            for n, m in [(5, 0), (6, 2), (12, 5)] for planted in (True, False)]
+BQP_GRID += [("RdnBQP", 6, 2, 17, True), ("RdnBQP", 12, 5, 24, True)]
+
+
+@pytest.mark.parametrize("name", sorted(RELAXATION_BUILDERS))
+def test_bqp_rows_are_the_svecs_of_their_dense_matrices(name):
+    for args in BQP_GRID:
+        inst = generate_instance(*args)
+        assert_rows_are_dense_svecs(RELAXATION_BUILDERS[name](inst)[0], name, inst)
+
+
+@pytest.mark.parametrize("name", sorted(MAXCUT_BUILDERS))
+@pytest.mark.parametrize("n", [1, 2, 6, 40])
+def test_maxcut_rows_are_the_svecs_of_their_dense_matrices(name, n):
+    G = random_graph(n, seed=3, density=0.5)
+    assert_rows_are_dense_svecs(MAXCUT_BUILDERS[name](G)[0], "mc_" + name, G)
+
+
+def test_mc_sdr_build_allocates_little_beyond_its_program():
+    # the rows are written into the program's own arrays, not stacked from copies
+    G = random_graph(150, seed=1, density=0.5)
+    tracemalloc.start()
+    try:
+        prog, _ = build_mc_sdr(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (prog.obj_psd, prog.obj_nonneg, prog.obj_free, prog.G_psd, prog.G_nonneg,
+              prog.G_free, prog.rhs)
+    assert peak < 1.25 * sum(a.nbytes for a in arrays)
