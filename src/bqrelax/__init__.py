@@ -33,7 +33,6 @@ from .equivalence import (
     EquivalenceReport,
     PointXX,
     PointZZ,
-    check_dnn_membership,
     check_feasibility,
     dnnp_to_sdr2_point,
     mc_dnnp_to_sdr_point,
@@ -51,6 +50,6 @@ from .bench import (
     performance_profile,
     run_suite,
 )
-from .symcone import is_psd, lifted_psd_check, min_eigenvalue, schur_complement, smat, svec
+from .symcone import is_psd, smat, svec
 
 __version__ = "0.1.0"

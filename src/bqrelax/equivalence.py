@@ -24,7 +24,7 @@ import numpy as np
 from .model import BqpInstance, MaxCutGraph, laplacian
 from .relax import build_dnnp, build_mc_dnnp, build_mc_sdr, build_sdr2, build_zspace
 from .solver import STATUS_ITERATION_LIMIT, STATUS_OPTIMAL, ConicSolution, SolverSettings, solve
-from .symcone import DimensionError, is_psd, lifted_matrix, psd_margin
+from .symcone import DimensionError, lifted_matrix, psd_margin
 
 # Solver settings for the theorem-verification suites: the lifted relaxations
 # have no Slater point, and a few facially-reduced DNNP instances floor at a
@@ -304,15 +304,3 @@ def rank_one_certificate(p: PointXX, tol: float = 1e-6) -> dict:
     if exact and np.all(np.abs(np.abs(p.x) - 1.0) <= tol):
         recovered = np.sign(p.x)
     return {"exact": exact, "gap": gap, "recovered": recovered}
-
-
-def check_dnn_membership(M: np.ndarray, tol: float = 1e-8) -> bool:
-    """PSD and entrywise nonnegative.
-
-    For order <= 4 this decides complete positivity as well (Diananda's
-    decomposition: the doubly nonnegative cone equals the completely positive
-    cone up to order 4); for order >= 5 it answers only the doubly
-    nonnegative question.
-    """
-    M = np.asarray(M, dtype=float)
-    return bool(is_psd(M, tol) and M.min() >= -tol)

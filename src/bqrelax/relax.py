@@ -24,13 +24,12 @@ Builders:
   build_mc_dnnp - max-cut: lifted (x, X) block, X_ii = x_i, entrywise >= 0
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import BqpInstance, MaxCutGraph, laplacian
-from .symcone import SQRT2, DimensionError, lifted_matrix, svec, svec_len
+from .symcone import SQRT2, DimensionError, svec, svec_len
 
 
 @dataclass(eq=False)
@@ -113,35 +112,6 @@ class ConicProgram:
         val += float(self.obj_free @ free)
         return val + self.offset
 
-    def to_debug_json(self) -> str:
-        """Internal, versioned dump for inspection; not a public contract."""
-        return json.dumps(
-            {
-                "version": 1,
-                "label": self.label,
-                "sense": self.sense,
-                "psd_order": self.psd_order,
-                "nonneg_count": self.nonneg_count,
-                "free_count": self.free_count,
-                "offset": self.offset,
-                "objective": {
-                    "psd_svec": self.obj_psd.tolist(),
-                    "nonneg": self.obj_nonneg.tolist(),
-                    "free": self.obj_free.tolist(),
-                },
-                "rows": [
-                    {
-                        "psd_svec": self.G_psd[i].tolist(),
-                        "nonneg": self.G_nonneg[i].tolist(),
-                        "free": self.G_free[i].tolist(),
-                        "rhs": float(self.rhs[i]),
-                    }
-                    for i in range(self.n_rows)
-                ],
-            },
-            sort_keys=True,
-        )
-
 
 @dataclass(eq=False)
 class VariableMap:
@@ -164,16 +134,6 @@ class VariableMap:
             return free.copy(), psd_mat.copy()
         if self.kind == "psd":
             return None, psd_mat.copy()
-        raise ValueError(self.kind)
-
-    def embed(self, vec, mat):
-        """Back-embedding; returns (psd_mat, free_vec)."""
-        if self.kind == "lifted":
-            return lifted_matrix(1.0, vec, mat), np.zeros(0)
-        if self.kind == "split":
-            return np.array(mat, dtype=float), np.array(vec, dtype=float)
-        if self.kind == "psd":
-            return np.array(mat, dtype=float), np.zeros(0)
         raise ValueError(self.kind)
 
 

@@ -42,6 +42,10 @@ test; the index path keeps no dense normalized copy of the rows.
 The loop's iterate and its Newton directions are one type (_Point); one HSD
 map (_Workspace.hsd) gives the residuals of both.  A numerical stop or the
 iteration limit returns the best iterate seen, untouched (kept by reference).
+Whether the iterate is in the cone is decided by the Cholesky factors of X
+and S that the NT scaling computes: when either fails, the iterate has left
+the cone and the solve ends there (stop_reason left_cone); nothing is
+repaired, so the PSD step length always bounds the true X and S.
 
 Linear algebra per iteration: the KKT matrix is assembled in place in one
 buffer per solve, rows in the program's own order (see _SchurRows), and
@@ -312,26 +316,16 @@ def _keep_rows(prog: ConicProgram, kept: list) -> ConicProgram:
 def _nt_scaling(X: np.ndarray, S: np.ndarray):
     """Nesterov-Todd scaling point: returns (R, R^{-T}, lam, Lx, Ls) with
     R^{-1} X R^{-T} = R^T S R = diag(lam) and the Cholesky factors
-    X = Lx Lx^T, S = Ls Ls^T it is built from."""
-    Lx = _chol_with_repair(X)
-    Ls = _chol_with_repair(S)
+    X = Lx Lx^T, S = Ls Ls^T it is built from.  An X or S outside the
+    interior of the cone raises np.linalg.LinAlgError."""
+    Lx = np.linalg.cholesky(X)
+    Ls = np.linalg.cholesky(S)
     U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
     sig = np.maximum(sig, 1e-150)
     inv_sqrt = 1.0 / np.sqrt(sig)
     R = Lx @ Vt.T * inv_sqrt
     RinvT = Ls @ U * inv_sqrt
     return R, RinvT, sig, Lx, Ls
-
-
-def _chol_with_repair(M: np.ndarray) -> np.ndarray:
-    M = 0.5 * (M + M.T)
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(M)
-        floor = 1e-14 * max(1.0, abs(w).max())
-        w = np.maximum(w, floor)
-        return np.linalg.cholesky((V * w) @ V.T + floor * np.eye(M.shape[0]))
 
 
 def _max_step_psd(L: np.ndarray, dx_svec: np.ndarray) -> float:
@@ -905,8 +899,11 @@ def _iterate(ws: _Workspace):
         if mu <= 0:
             return _stop(ws, "mu_nonpositive")
 
-        # Nesterov-Todd scalings
-        R, RinvT, lam, Lx, Ls = _nt_scaling(smat(pt.x_psd), smat(pt.s_psd))
+        # Nesterov-Todd scalings; an X or S that Cholesky rejects has left the cone
+        try:
+            R, RinvT, lam, Lx, Ls = _nt_scaling(smat(pt.x_psd), smat(pt.s_psd))
+        except np.linalg.LinAlgError:
+            return _stop(ws, "left_cone")
         c_ps = svec(R.T @ smat(ws.c_psd) @ R)
         w_nn = np.sqrt(pt.x_nn / pt.s_nn)
         w2 = w_nn**2
@@ -1162,10 +1159,9 @@ def certify(prog: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> Certif
 
     if sol.status in (STATUS_OPTIMAL, STATUS_ITERATION_LIMIT):
         xs = svec(sol.primal_psd)
-        for i in range(prog.n_rows):
-            gp, gn, gf, rhs = prog.row(i)
-            val = float(gp @ xs + gn @ sol.primal_nonneg + gf @ sol.primal_free)
-            checks.append(CertCheck(f"primal_row[{i}]", abs(val - rhs) / (1.0 + abs(rhs)), tol))
+        Gx = prog.G_psd @ xs + prog.G_nonneg @ sol.primal_nonneg + prog.G_free @ sol.primal_free
+        checks.append(CertCheck("primal_rows",
+                                _inf_norm((Gx - prog.rhs) / (1.0 + np.abs(prog.rhs))), tol))
         if d:
             checks.append(CertCheck("primal_psd_cone", -psd_margin(sol.primal_psd), tol))
             checks.append(CertCheck("dual_psd_cone", -psd_margin(sol.dual_slack_psd), tol))
@@ -1194,10 +1190,8 @@ def certify(prog: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> Certif
         ray = sol.ray
         xs = svec(ray.psd)
         ray_scale = 1.0 + _inf_norm(xs, ray.nonneg, ray.free)
-        for i in range(prog.n_rows):
-            gp, gn, gf, _ = prog.row(i)
-            val = float(gp @ xs + gn @ ray.nonneg + gf @ ray.free)
-            checks.append(CertCheck(f"ray_row[{i}]", abs(val) / ray_scale, tol))
+        Gx = prog.G_psd @ xs + prog.G_nonneg @ ray.nonneg + prog.G_free @ ray.free
+        checks.append(CertCheck("ray_rows", _inf_norm(Gx) / ray_scale, tol))
         if d:
             checks.append(CertCheck("ray_psd_cone", -psd_margin(ray.psd), tol))
         if prog.nonneg_count:

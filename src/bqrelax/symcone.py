@@ -1,4 +1,4 @@
-"""Symmetric-matrix primitives: svec/smat, eigenvalue cone checks, Schur complements.
+"""Symmetric-matrix primitives: svec/smat and eigenvalue cone checks.
 
 Conventions
 -----------
@@ -21,10 +21,6 @@ class DimensionError(ValueError):
 
 class NumericError(ValueError):
     """Non-finite data where finite values are required."""
-
-
-class SingularBlockError(ValueError):
-    """A matrix block that must be invertible is (numerically) singular."""
 
 
 def svec_len(d: int) -> int:
@@ -63,15 +59,6 @@ def _smat_order(ln: int) -> int:
     return d
 
 
-def check_symmetric(M: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.abs(M - M.T) <= tol):
-        raise DimensionError("matrix is not symmetric")
-    return M
-
-
 def svec(M: np.ndarray) -> np.ndarray:
     """Symmetric matrix -> packed vector of length d(d+1)/2."""
     M = np.asarray(M, dtype=float)
@@ -103,10 +90,6 @@ def eigvals_sym(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (M + M.T))
 
 
-def min_eigenvalue(M: np.ndarray) -> float:
-    return float(eigvals_sym(M)[0])
-
-
 def is_psd(M: np.ndarray, tol: float = 1e-8) -> bool:
     """min eig >= -tol * max(1, spectral radius)."""
     if tol < 0:
@@ -125,30 +108,6 @@ def psd_margin(M: np.ndarray) -> float:
     return float(w[0] / max(1.0, rad))
 
 
-# Condition estimate threshold above which a leading block is refused.
-SCHUR_COND_LIMIT = 1e12
-
-
-def schur_complement(M: np.ndarray, k: int) -> np.ndarray:
-    """H = C - B^T A^{-1} B for M = [[A, B], [B^T, C]] with A the leading k x k block."""
-    M = check_symmetric(np.asarray(M, dtype=float), tol=0.0)
-    d = M.shape[0]
-    if not 1 <= k < d:
-        raise DimensionError(f"split {k} out of range for order {d}")
-    A = M[:k, :k]
-    B = M[:k, k:]
-    C = M[k:, k:]
-    wa = np.linalg.eigvalsh(A)
-    amax = np.abs(wa).max()
-    amin = np.abs(wa).min()
-    if amin == 0.0 or amax / amin > SCHUR_COND_LIMIT:
-        raise SingularBlockError(
-            f"leading block is singular or ill-conditioned (cond ~ {np.inf if amin == 0 else amax/amin:.2e})"
-        )
-    H = C - B.T @ np.linalg.solve(A, B)
-    return 0.5 * (H + H.T)
-
-
 def lifted_matrix(alpha: float, x: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Assemble [[alpha, x^T], [x, X]]."""
     x = np.asarray(x, dtype=float)
@@ -162,10 +121,3 @@ def lifted_matrix(alpha: float, x: np.ndarray, X: np.ndarray) -> np.ndarray:
     Y[1:, 0] = x
     Y[1:, 1:] = X
     return Y
-
-
-def lifted_psd_check(alpha: float, x: np.ndarray, X: np.ndarray, tol: float = 1e-8) -> bool:
-    """PSD test of [[alpha, x^T], [x, X]]; for alpha > 0 equivalent to X - xx^T/alpha >= 0."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return is_psd(lifted_matrix(alpha, x, X), tol)

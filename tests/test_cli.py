@@ -65,10 +65,17 @@ def test_solve_report_has_solve_counts(capsys):
     assert set(json.loads(stdout)["stats"].values()) == {0}
 
 
-def test_solve_report_has_stop_reason(capsys):
+def test_solve_report_has_stop_reason(tmp_path, capsys):
     for relax_name, reason in (("sdr1", "optimal"), ("sdr", "presolve_unbounded")):
         _, stdout, _ = run(capsys, "solve", TIGHT, "--relax", relax_name)
         assert json.loads(stdout)["stop_reason"] == reason
+    # a stall of the bqp-desk benchmark: the iterate leaves the PSD cone
+    inst = tmp_path / "rdi.json"
+    run(capsys, "gen", "--kind", "rdibqp", "--n", "12", "--m", "5", "--seed", "33",
+        "--out", str(inst))
+    code, stdout, _ = run(capsys, "solve", str(inst), "--relax", "dnnp")
+    assert code == 5
+    assert json.loads(stdout)["stop_reason"] == "left_cone"
 
 
 def test_solve_tight_sdr_unbounded_exit_3(capsys):

@@ -8,7 +8,6 @@ from bqrelax.equivalence import (
     PointXX,
     PointZZ,
     bqp_relaxation_objective,
-    check_dnn_membership,
     check_feasibility,
     dnnp_objective,
     dnnp_to_sdr2_point,
@@ -278,12 +277,6 @@ def test_rank_one_certificate_gap(ex_gap):
 def test_rank_one_certificate_identity():
     cert = rank_one_certificate(PointXX(x=np.zeros(3), X=np.eye(3)), tol=1e-6)
     assert not cert["exact"]
-
-
-def test_dnn_membership():
-    assert check_dnn_membership(np.eye(3))
-    assert not check_dnn_membership(np.array([[1.0, -0.1], [-0.1, 1.0]]))
-    assert not check_dnn_membership(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_feasibility_transport_solved_instances():

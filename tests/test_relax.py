@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import tracemalloc
 
 import numpy as np
@@ -189,26 +188,24 @@ def test_mc_dnnp_shapes():
 # ------------------------------------------------------------ variable maps
 
 def test_variable_map_roundtrips():
+    # each kind reads back the vector and matrix from its own block layout
     rng = np.random.default_rng(5)
     n = 4
     x = rng.standard_normal(n)
     X = rng.standard_normal((n, n)); X = X + X.T
 
     vm = VariableMap(kind="lifted", n=n)
-    Y, free = vm.embed(x, X)
-    x2, X2 = vm.extract(Y, np.zeros(0), free)
+    x2, X2 = vm.extract(lifted_matrix(1.0, x, X), np.zeros(0), np.zeros(0))
     np.testing.assert_array_equal(x2, x)
     np.testing.assert_array_equal(X2, X)
 
     vm = VariableMap(kind="split", n=n)
-    P, free = vm.embed(x, X)
-    x2, X2 = vm.extract(P, np.zeros(0), free)
+    x2, X2 = vm.extract(X, np.zeros(0), x)
     np.testing.assert_array_equal(x2, x)
     np.testing.assert_array_equal(X2, X)
 
     vm = VariableMap(kind="psd", n=n)
-    P, _ = vm.embed(None, X)
-    none_vec, X2 = vm.extract(P, np.zeros(0), np.zeros(0))
+    none_vec, X2 = vm.extract(X, np.zeros(0), np.zeros(0))
     assert none_vec is None
     np.testing.assert_array_equal(X2, X)
 
@@ -281,14 +278,6 @@ def test_face_shapes_validated():
     for f in bad:
         with pytest.raises(DimensionError):
             dataclasses.replace(prog, face=f)
-
-
-def test_debug_json_roundtrips():
-    inst = generate_instance("RdBQP", 3, 1, seed=1)
-    prog, _ = build_sdr1(inst)
-    obj = json.loads(prog.to_debug_json())
-    assert obj["psd_order"] == 4
-    assert len(obj["rows"]) == prog.n_rows
 
 
 # ------------------------------------------------------------ rows against their dense matrices

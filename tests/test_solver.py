@@ -133,7 +133,8 @@ def test_stop_reason_of_a_desk_stall():
     # a NumericalTrouble solve of the bqp-desk benchmark workload (seed 2)
     sol = solve(build_dnnp(generate_instance("RdiBQP", 12, 5, seed=33))[0])
     assert sol.status == solver.STATUS_NUMERICAL_TROUBLE
-    assert sol.stats["stop_reason"] == "mu_nonpositive"
+    # Cholesky rejects an iterate that has left the PSD cone, which ends the solve
+    assert sol.stats["stop_reason"] == "left_cone"
     # the best iterate comes back untouched by the steps taken after it
     best = (sol.residuals[0], sol.residuals[1])
     logged = [(h.pres, h.dres) for h in sol.history]
@@ -923,7 +924,7 @@ def solve_refined_scipy(K, lu, rhs, rounds=2):
 
 def max_step_psd_recomputed(x_svec, dx_svec):
     """Step bound that refactors X and solves through scipy: the reference."""
-    L = solver._chol_with_repair(smat(x_svec))
+    L = np.linalg.cholesky(smat(x_svec))
     T = scipy.linalg.solve_triangular(L, smat(dx_svec), lower=True)
     T = scipy.linalg.solve_triangular(L, T.T, lower=True)
     lam_min = np.linalg.eigvalsh(0.5 * (T + T.T))[0]
@@ -966,18 +967,24 @@ def random_psd_svec(rng, d, rank=None):
 @pytest.mark.parametrize("d", [1, 2, 5, 13, 40])
 def test_max_step_psd_reuses_the_nt_factor(d):
     rng = np.random.default_rng(d)
-    for rank in (None, max(d - 2, 0)):  # the second is singular: the repair path
-        x, s = random_psd_svec(rng, d, rank), random_psd_svec(rng, d)
-        _, _, _, Lx, Ls = solver._nt_scaling(smat(x), smat(s))
-        np.testing.assert_array_equal(Lx, solver._chol_with_repair(smat(x)))
-        np.testing.assert_array_equal(Ls, solver._chol_with_repair(smat(s)))
-        for L, v in ((Lx, x), (Ls, s)):
-            for _ in range(3):
-                dx = rng.standard_normal(v.size)
-                assert solver._max_step_psd(L, dx) == max_step_psd_recomputed(v, dx)
-            dx = random_psd_svec(rng, d)  # an ascent direction
+    x, s = random_psd_svec(rng, d), random_psd_svec(rng, d)
+    _, _, _, Lx, Ls = solver._nt_scaling(smat(x), smat(s))
+    np.testing.assert_array_equal(Lx, np.linalg.cholesky(smat(x)))
+    np.testing.assert_array_equal(Ls, np.linalg.cholesky(smat(s)))
+    for L, v in ((Lx, x), (Ls, s)):
+        for _ in range(3):
+            dx = rng.standard_normal(v.size)
             assert solver._max_step_psd(L, dx) == max_step_psd_recomputed(v, dx)
+        dx = random_psd_svec(rng, d)  # an ascent direction
+        assert solver._max_step_psd(L, dx) == max_step_psd_recomputed(v, dx)
     assert solver._max_step_psd(Ls, s) == np.inf
+    # an X with a zero row and column is on the cone's boundary (its last
+    # Cholesky pivot is exactly 0): the NT scaling refuses it, as it does S
+    X = smat(x)
+    X[-1], X[:, -1] = 0.0, 0.0
+    for args in ((X, smat(s)), (smat(s), X)):
+        with pytest.raises(np.linalg.LinAlgError):
+            solver._nt_scaling(*args)
 
 
 def test_solve_counts_on_a_face_reduced_solve():

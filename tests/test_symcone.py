@@ -4,12 +4,9 @@ import pytest
 from bqrelax.symcone import (
     DimensionError,
     NumericError,
-    SingularBlockError,
     is_psd,
-    lifted_psd_check,
-    min_eigenvalue,
+    lifted_matrix,
     psd_margin,
-    schur_complement,
     smat,
     svec,
     svec_index,
@@ -112,15 +109,12 @@ def test_isometry_random():
         assert abs(svec(A) @ svec(B) - tr) <= 1e-12 * (1.0 + abs(tr))
 
 
-def test_min_eigenvalue_examples():
-    assert min_eigenvalue(np.eye(3)) == pytest.approx(1.0)
-    assert min_eigenvalue(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(-1.0)
-    assert min_eigenvalue(np.diag([2.0, 5.0])) == pytest.approx(2.0)
-
-
-def test_min_eigenvalue_nonfinite():
+def test_psd_margin_examples():
+    assert psd_margin(np.eye(3)) == pytest.approx(1.0)
+    assert psd_margin(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(-1.0)
+    assert psd_margin(np.diag([2.0, 5.0])) == pytest.approx(2.0 / 5.0)
     with pytest.raises(NumericError):
-        min_eigenvalue(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        psd_margin(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_is_psd_examples():
@@ -140,63 +134,18 @@ def test_is_psd_scale_invariant():
     assert is_psd(M, 1e-8) == is_psd(1e6 * M, 1e-8)
 
 
-def test_schur_complement_lifted():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        n = int(rng.integers(1, 8))
-        x = rng.standard_normal(n)
-        X = rng.standard_normal((n, n))
-        X = X + X.T
-        M = np.zeros((n + 1, n + 1))
-        M[0, 0] = 1.0
-        M[0, 1:] = x
-        M[1:, 0] = x
-        M[1:, 1:] = X
-        H = schur_complement(M, 1)
-        np.testing.assert_allclose(H, X - np.outer(x, x), atol=1e-12)
-
-
-def test_schur_complement_identity():
-    np.testing.assert_allclose(schur_complement(np.eye(4), 2), np.eye(2), atol=1e-14)
-
-
-def test_schur_complement_scalar():
-    M = np.array([[2.0, 1.0], [1.0, 1.0]])
-    np.testing.assert_allclose(schur_complement(M, 1), [[0.5]], atol=1e-14)
-
-
-def test_schur_complement_singular_block():
-    M = np.zeros((3, 3))
-    M[1:, 1:] = np.eye(2)
-    with pytest.raises(SingularBlockError):
-        schur_complement(M, 1)
-
-
-def test_schur_complement_bad_split():
-    with pytest.raises(DimensionError):
-        schur_complement(np.eye(3), 3)
-
-
-def test_lifted_psd_check_examples():
+def test_lifted_matrix_psd_examples():
     e = np.ones(2)
-    assert lifted_psd_check(1.0, -e, np.outer(e, e))
-    assert lifted_psd_check(1.0, np.zeros(2), np.eye(2))
-    assert not lifted_psd_check(1.0, np.array([2.0, 0.0]), np.eye(2))
-
-
-def test_lifted_psd_check_alpha_positive():
-    with pytest.raises(ValueError):
-        lifted_psd_check(0.0, np.zeros(2), np.eye(2))
-
-
-def test_lifted_psd_check_dim_mismatch():
+    assert is_psd(lifted_matrix(1.0, -e, np.outer(e, e)))
+    assert is_psd(lifted_matrix(1.0, np.zeros(2), np.eye(2)))
+    assert not is_psd(lifted_matrix(1.0, np.array([2.0, 0.0]), np.eye(2)))
     with pytest.raises(DimensionError):
-        lifted_psd_check(1.0, np.zeros(3), np.eye(2))
+        lifted_matrix(1.0, np.zeros(3), np.eye(2))
 
 
 def test_schur_equivalence_property():
-    # lifted check with alpha=1 agrees with the direct check on X - xx^T
-    # whenever both margins are clearly signed
+    # [[1, x^T], [x, X]] >= 0 agrees with the direct check on X - xx^T
+    # (Schur complement) whenever both margins are clearly signed
     rng = np.random.default_rng(3)
     checked = 0
     for _ in range(400):
@@ -208,7 +157,7 @@ def test_schur_equivalence_property():
         if abs(direct) <= 1e-6:
             continue
         checked += 1
-        assert lifted_psd_check(1.0, x, X, 1e-8) == is_psd(X - np.outer(x, x), 1e-8)
+        assert is_psd(lifted_matrix(1.0, x, X), 1e-8) == is_psd(X - np.outer(x, x), 1e-8)
     assert checked > 100
 
 
