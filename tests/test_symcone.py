@@ -4,6 +4,7 @@ import pytest
 from bqrelax.symcone import (
     DimensionError,
     NumericError,
+    eigvals_sym,
     is_psd,
     lifted_matrix,
     psd_margin,
@@ -109,12 +110,23 @@ def test_isometry_random():
         assert abs(svec(A) @ svec(B) - tr) <= 1e-12 * (1.0 + abs(tr))
 
 
-def test_psd_margin_examples():
+def test_min_eigenvalue_examples():
+    # the smallest eigenvalue is eigvals_sym(M)[0]; psd_margin divides it
+    # by max(1, spectral radius)
+    assert eigvals_sym(np.eye(3))[0] == pytest.approx(1.0)
+    assert eigvals_sym(np.array([[0.0, 1.0], [1.0, 0.0]]))[0] == pytest.approx(-1.0)
+    assert eigvals_sym(np.diag([2.0, 5.0]))[0] == pytest.approx(2.0)
     assert psd_margin(np.eye(3)) == pytest.approx(1.0)
     assert psd_margin(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(-1.0)
     assert psd_margin(np.diag([2.0, 5.0])) == pytest.approx(2.0 / 5.0)
+
+
+def test_min_eigenvalue_nonfinite():
+    M = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(NumericError):
-        psd_margin(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        eigvals_sym(M)
+    with pytest.raises(NumericError):
+        psd_margin(M)
 
 
 def test_is_psd_examples():
@@ -134,11 +146,15 @@ def test_is_psd_scale_invariant():
     assert is_psd(M, 1e-8) == is_psd(1e6 * M, 1e-8)
 
 
-def test_lifted_matrix_psd_examples():
+def test_lifted_psd_check_examples():
+    # [[1, x^T], [x, X]] >= 0 is checked as is_psd(lifted_matrix(1, x, X))
     e = np.ones(2)
     assert is_psd(lifted_matrix(1.0, -e, np.outer(e, e)))
     assert is_psd(lifted_matrix(1.0, np.zeros(2), np.eye(2)))
     assert not is_psd(lifted_matrix(1.0, np.array([2.0, 0.0]), np.eye(2)))
+
+
+def test_lifted_psd_check_dim_mismatch():
     with pytest.raises(DimensionError):
         lifted_matrix(1.0, np.zeros(3), np.eye(2))
 
