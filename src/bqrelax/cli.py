@@ -71,12 +71,14 @@ def cmd_gen(args) -> int:
 
 def _solve_one(args, data, builders, what) -> int:
     """Build relaxation args.relax of data from builders, solve it and print
-    the JSON report; the exit code follows the status."""
+    the JSON report, with certify's verdict at 1e-6 as ``certified`` (false
+    for a status that certifies nothing); the exit code follows the status."""
     if args.relax not in builders:
         print(f"error: unknown {what} {args.relax!r}", file=sys.stderr)
         return EXIT_USAGE
     prog, _ = builders[args.relax](data)
     sol = solver.solve(prog, _settings(args))
+    cert = solver.certify(prog, sol, 1e-6)
     report = {
         "relax": prog.label,
         "status": sol.status,
@@ -85,9 +87,11 @@ def _solve_one(args, data, builders, what) -> int:
         "time": sol.solve_time,
         "stop_reason": sol.stats["stop_reason"],
         "stats": {k: sol.stats[k] for k in solver.SOLVE_COUNTS},
+        "certified": cert.ok,
     }
-    if sol.status in (solver.STATUS_UNBOUNDED, solver.STATUS_INFEASIBLE) and sol.ray is not None:
-        cert = solver.certify(prog, sol, 1e-6)
+    if sol.status in (solver.STATUS_OPTIMAL, solver.STATUS_ITERATION_LIMIT):
+        report["residuals"] = dict(zip(("primal", "dual", "gap"), sol.residuals))
+    elif sol.ray is not None:  # Unbounded / Infeasible
         report["certificate"] = {"kind": sol.ray.kind, "verified": cert.ok}
     print(json.dumps(report, sort_keys=True))
     if sol.status == solver.STATUS_OPTIMAL:

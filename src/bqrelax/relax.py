@@ -101,10 +101,6 @@ class ConicProgram:
     def n_rows(self) -> int:
         return self.rhs.shape[0]
 
-    def row(self, i: int):
-        """(svec over PSD, nonneg coefficients, free coefficients, rhs)."""
-        return self.G_psd[i], self.G_nonneg[i], self.G_free[i], float(self.rhs[i])
-
     def objective_value(self, psd_mat: np.ndarray, nonneg: np.ndarray, free: np.ndarray) -> float:
         """Model-space objective (offset included) at the given blocks."""
         val = float(self.obj_psd @ svec(psd_mat))

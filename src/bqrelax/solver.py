@@ -29,7 +29,9 @@ coefficient norm for conditioning.
 
 Facial reduction: a program whose builder declares a face (relax.Face) and
 whose declared row combinations check out is solved on it, without the rows
-the face implies; the solution is lifted back to the original rows.
+the face implies; the solution is lifted back to the original rows.  The
+dual is not shifted: its PSD slack is PSD on the face only (the duals of the
+lifted relaxations are unattained), and certify checks the face first.
 
 Row storage: the products G x and G^T y in the loop come from
 (row, column, value) index arrays when the normalized rows hold at most
@@ -712,23 +714,18 @@ def _solve_direct(prog: ConicProgram, settings: SolverSettings,
 
 def _solve_facial(prog: ConicProgram, settings: SolverSettings) -> ConicSolution:
     """Facial reduction onto the builder's face (relax.Face): restrict the
-    PSD block to the orthogonal complement V of the kernel and drop the rows
-    the face implies, solve the (Slater-restored) reduced program, lift the
-    primal back, and repair the dual slack by adding the face's own row
-    combination, which changes neither the dual objective nor the
-    complementarity (the combination has zero rhs inner product and
-    annihilates the face).  A face whose row combinations do not check out
-    is not used: the program is solved unreduced."""
+    PSD block to the orthogonal complement V of the kernel, drop the rows the
+    face implies, solve the (Slater-restored) reduced program and lift it
+    back.  y is zero on the implied rows and the PSD slack is c - G^T y with
+    its V-block spliced from the reduced slack, PSD on the face only (see
+    certify).  A face whose row combinations do not check out is not used:
+    the program is solved unreduced."""
     face = prog.face
-    lam_face = _face_multipliers(prog)
-    if lam_face is None:
+    if not _face_holds(prog):
         log.warning("facial reduction: the face's row combination does not hold; "
                     "solving the program unreduced")
         return _solve_direct(prog, settings)
-    Qf, Rf = np.linalg.qr(face.kernel, mode="complete")
-    diag = np.abs(np.diag(Rf))
-    rank = int(np.sum(diag > 1e-12 * max(1.0, diag.max())))
-    V = Qf[:, rank:]
+    V = _face_basis(face.kernel)
     keep = np.setdiff1d(np.arange(prog.n_rows), face.implied)
 
     reduced = dataclasses.replace(
@@ -744,73 +741,46 @@ def _solve_facial(prog: ConicProgram, settings: SolverSettings) -> ConicSolution
         y_full[keep] = y_reduced
         return y_full
 
-    # lift primal blocks
-    X_full = V @ inner.primal_psd @ V.T
+    # the PSD slack in the original space; its V-block is the reduced solve's
+    # slack, so the complementarity with the lifted primal is the reduced one
     sgn = 1.0 if prog.sense == "min" else -1.0
-    c_psd_int = sgn * prog.obj_psd
-
-    # dual repair: the V-block of c - G^T y is the reduced dual slack (PSD up
-    # to the reduced solve's accuracy); the U-block is repaired by adding the
-    # face combination t*W, W = sum_i k_i k_i^T / |k_i|^2, which leaves b^T y
-    # and the complementarity with the lifted primal unchanged.  The V-block
-    # itself is spliced from the reduced solve's slack, which is
-    # complementarity-clean.
-    Kn = face.kernel / np.linalg.norm(face.kernel, axis=0)
-    W = Kn @ Kn.T
     y = lift_y(inner.dual_y)
-    base = smat(c_psd_int - prog.G_psd.T @ y)
-    base = base + V @ (inner.dual_slack_psd - V.T @ base @ V) @ V.T
-    scale = max(1.0, _inf_norm(svec(base)))
-    t = _face_shift(base, W, -1e-9, scale / 16.0, 2.0, 1e12 * scale)
-    s_mat = base + t * W
-    y = y - t * lam_face
+    S = smat(sgn * prog.obj_psd - prog.G_psd.T @ y)
+    S = S + V @ (inner.dual_slack_psd - V.T @ S @ V) @ V.T
 
     ray_cert = inner.ray
     if ray_cert is not None and ray_cert.kind == "primal":
         ray_cert = dataclasses.replace(ray_cert, psd=V @ ray_cert.psd @ V.T)
     elif ray_cert is not None and ray_cert.kind == "dual":
-        yr = lift_y(ray_cert.y)
-        sr = -prog.G_psd.T @ yr
-        scale = max(1.0, _inf_norm(sr))
-        yr = yr - _face_shift(smat(sr), W, -1e-12, scale, 4.0, 1e15 * scale) * lam_face
-        ray_cert = _dual_ray(prog, yr)
+        ray_cert = _dual_ray(prog, lift_y(ray_cert.y))
 
     # the orthant dual slack stays the reduced solve's: nonnegative by
     # construction, consistent with y up to the reduced solve's dual residual
     return dataclasses.replace(
-        inner, primal_psd=X_full, dual_y=y, dual_slack_psd=s_mat, ray=ray_cert,
+        inner, primal_psd=V @ inner.primal_psd @ V.T, dual_y=y, dual_slack_psd=S, ray=ray_cert,
         dropped_rows=sorted(face.implied.tolist() + keep[inner.dropped_rows].tolist()))
 
 
-def _face_shift(S: np.ndarray, W: np.ndarray, floor: float, step: float, grow: float,
-                limit: float) -> float:
-    """t >= 0 raising the least eigenvalue of S + t W, by a growing-step search
-    that stops once it exceeds floor or the step reaches limit."""
-    t, margin = 0.0, psd_margin(S)
-    while margin < floor and step < limit:
-        m_try = psd_margin(S + (t + step) * W)
-        if m_try > margin:
-            t, margin = t + step, m_try
-        step *= grow
-    return t
+def _face_basis(kernel: np.ndarray) -> np.ndarray:
+    """Orthonormal basis V (columns) of the orthogonal complement of the
+    kernel's range, by a complete QR of the kernel."""
+    Q, R = np.linalg.qr(kernel, mode="complete")
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > 1e-12 * max(1.0, diag.max())))
+    return Q[:, rank:]
 
 
-def _face_multipliers(prog: ConicProgram):
-    """lam with sum_r lam_r row_r = (svec(W), 0, 0) and lam . rhs = 0 for
-    W = sum_i k_i k_i^T / |k_i|^2, from the face's declared row combinations;
-    None unless each combination gives svec(k_i k_i^T), zero orthant and free
-    parts and zero rhs, to rounding."""
+def _face_holds(prog: ConicProgram) -> bool:
+    """Whether each of the face's declared row combinations gives
+    svec(k_i k_i^T), zero orthant and free parts and zero rhs, to rounding."""
     face = prog.face
-    lam = np.zeros(prog.n_rows)
     for k, r, c in zip(face.kernel.T, face.rows, face.coeffs):
         B = np.hstack([prog.G_psd[r], prog.G_nonneg[r], prog.G_free[r], prog.rhs[r, None]])
         want = np.zeros(B.shape[1])
         want[:prog.G_psd.shape[1]] = svec(np.outer(k, k))
-        kk = float(k @ k)
-        if kk == 0.0 or np.any(np.abs(c @ B - want) > 1e-12 * (1.0 + np.abs(c) @ np.abs(B))):
-            return None
-        np.add.at(lam, r, c / kk)
-    return lam
+        if float(k @ k) == 0.0 or np.any(np.abs(c @ B - want) > 1e-12 * (1.0 + np.abs(c) @ np.abs(B))):
+            return False
+    return True
 
 
 def _free_block_unbounded_ray(prog: ConicProgram):
@@ -1151,8 +1121,20 @@ class CertificateReport:
         return [c for c in self.checks if not c.ok]
 
 
+def _on_face(prog: ConicProgram, S: np.ndarray) -> np.ndarray:
+    """V^T S V when prog declares a face whose row combinations hold, else S:
+    they give <k_i k_i^T, X> = 0 for every feasible X, so X = V X' V^T and
+    <S, X> = <V^T S V, X'>."""
+    if prog.face is None or not _face_holds(prog):
+        return S
+    V = _face_basis(prog.face.kernel)
+    return V.T @ S @ V
+
+
 def certify(prog: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> CertificateReport:
-    """Re-evaluate a solution's claims from its returned blocks only."""
+    """Re-evaluate a solution's claims from its returned blocks only, on the
+    original rows and blocks; the dual PSD cone of a program with a face is
+    checked on the face once its row combinations hold (see _on_face)."""
     sgn = 1.0 if prog.sense == "min" else -1.0
     d = prog.psd_order
     checks = []
@@ -1164,7 +1146,8 @@ def certify(prog: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> Certif
                                 _inf_norm((Gx - prog.rhs) / (1.0 + np.abs(prog.rhs))), tol))
         if d:
             checks.append(CertCheck("primal_psd_cone", -psd_margin(sol.primal_psd), tol))
-            checks.append(CertCheck("dual_psd_cone", -psd_margin(sol.dual_slack_psd), tol))
+            checks.append(CertCheck("dual_psd_cone",
+                                    -psd_margin(_on_face(prog, sol.dual_slack_psd)), tol))
         if prog.nonneg_count:
             checks.append(CertCheck("primal_nonneg_cone", -float(sol.primal_nonneg.min()), tol))
             checks.append(CertCheck("dual_nonneg_cone", -float(sol.dual_slack_nonneg.min()), tol))
@@ -1206,7 +1189,7 @@ def certify(prog: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> Certif
         res_f = prog.G_free.T @ ray.y
         checks.append(CertCheck("farkas_residual", _inf_norm(res_p, res_n, res_f) / ynorm, tol))
         if d:
-            checks.append(CertCheck("farkas_psd_cone", -psd_margin(ray.slack_psd), tol))
+            checks.append(CertCheck("farkas_psd_cone", -psd_margin(_on_face(prog, ray.slack_psd)), tol))
         if prog.nonneg_count:
             checks.append(CertCheck("farkas_nonneg_cone", -float(ray.slack_nonneg.min()), tol))
         checks.append(CertCheck("farkas_objective>=1", 1.0 - float(prog.rhs @ ray.y), tol))

@@ -75,7 +75,31 @@ def test_solve_report_has_stop_reason(tmp_path, capsys):
         "--out", str(inst))
     code, stdout, _ = run(capsys, "solve", str(inst), "--relax", "dnnp")
     assert code == 5
-    assert json.loads(stdout)["stop_reason"] == "left_cone"
+    rep = json.loads(stdout)
+    assert rep["stop_reason"] == "left_cone"
+    # a numerical stop certifies nothing and reports no residuals
+    assert rep["certified"] is False
+    assert "residuals" not in rep and "certificate" not in rep
+
+
+def test_solve_report_states_its_verdict(capsys):
+    code, stdout, _ = run(capsys, "solve", TIGHT, "--relax", "sdr1")
+    rep = json.loads(stdout)
+    assert (code, rep["status"], rep["certified"]) == (0, "Optimal", True)
+    assert set(rep["residuals"]) == {"primal", "dual", "gap"}
+    assert max(rep["residuals"].values()) <= 1e-8
+    assert "certificate" not in rep
+    # the iteration limit keeps its exit code and reports an uncertified iterate
+    code, stdout, _ = run(capsys, "solve", TIGHT, "--relax", "sdr1", "--max-iters", "2")
+    rep = json.loads(stdout)
+    assert (code, rep["status"], rep["certified"]) == (5, "IterationLimit", False)
+    assert max(rep["residuals"].values()) > 1e-8
+    # a ray status: the verdict is the certificate's
+    code, stdout, _ = run(capsys, "solve", TIGHT, "--relax", "sdr")
+    rep = json.loads(stdout)
+    assert (code, rep["status"], rep["certified"]) == (3, "Unbounded", True)
+    assert rep["certificate"] == {"kind": "primal", "verified": True}
+    assert "residuals" not in rep
 
 
 def test_solve_tight_sdr_unbounded_exit_3(capsys):

@@ -29,13 +29,12 @@ from bqrelax.symcone import DimensionError, lifted_matrix, svec
 
 
 def eval_row(prog, i, psd_mat, nonneg=None, free=None):
-    gp, gn, gf, rhs = prog.row(i)
-    val = gp @ svec(psd_mat) if prog.psd_order else 0.0
+    val = prog.G_psd[i] @ svec(psd_mat) if prog.psd_order else 0.0
     if prog.nonneg_count and nonneg is not None:
-        val += gn @ nonneg
+        val += prog.G_nonneg[i] @ nonneg
     if prog.free_count and free is not None:
-        val += gf @ free
-    return val, rhs
+        val += prog.G_free[i] @ free
+    return val, float(prog.rhs[i])
 
 
 # ------------------------------------------------------------ block shapes

@@ -777,9 +777,9 @@ def corrupt_row(face):
 @pytest.mark.parametrize("corrupt", [corrupt_coefficient, corrupt_row])
 def test_face_failing_its_check_is_not_used(monkeypatch, caplog, corrupt):
     prog, _ = build_sdr1(generate_instance("RdBQP", 6, 2, seed=3))
-    assert solver._face_multipliers(prog) is not None
+    assert solver._face_holds(prog)
     prog.face = corrupt(prog.face)
-    assert solver._face_multipliers(prog) is None
+    assert not solver._face_holds(prog)
     seen = []
     real = solver.presolve_rank_check
     monkeypatch.setattr(solver, "presolve_rank_check",
@@ -790,6 +790,35 @@ def test_face_failing_its_check_is_not_used(monkeypatch, caplog, corrupt):
     assert [(p.psd_order, p.n_rows) for p in seen] == [(prog.psd_order, prog.n_rows)]
     assert sol.primal_psd.shape == (prog.psd_order, prog.psd_order)
     assert "row combination does not hold" in caplog.text
+
+
+@pytest.mark.parametrize("builder", [build_sdr1, build_sdr2, build_dnnp])
+def test_certify_trusts_a_face_only_after_checking_it(builder):
+    prog, _ = builder(generate_instance("RdBQP", 6, 2, seed=3))
+    sol = solve(prog)
+    assert sol.status == STATUS_OPTIMAL
+    assert certify(prog, sol, 1e-6).ok
+    # the returned slack is PSD on the face only; with a face that fails its
+    # check, certify tests the whole slack and rejects it
+    corrupted = dataclasses.replace(prog, face=corrupt_coefficient(prog.face))
+    assert [c.name for c in certify(corrupted, sol, 1e-6).failed()] == ["dual_psd_cone"]
+    # on a face that holds, a slack with a negative direction on the face is rejected
+    V = solver._face_basis(prog.face.kernel)
+    w, U = np.linalg.eigh(V.T @ sol.dual_slack_psd @ V)
+    eps = w[0] + 1e-3
+    shifted = dataclasses.replace(
+        sol, dual_slack_psd=sol.dual_slack_psd - eps * V @ np.outer(U[:, 0], U[:, 0]) @ V.T)
+    assert "dual_psd_cone" in [c.name for c in certify(prog, shifted, 1e-6).failed()]
+
+
+def test_face_reduced_sdr2_of_a_desk_instance_certifies():
+    # RdBQP-n12-m5-s36-p sdr2 of the bqp-desk benchmark: a dual slack shifted
+    # along the face's row combination fails complementarity here (2.3e-6)
+    prog, _ = build_sdr2(generate_instance("RdBQP", 12, 5, seed=36))
+    sol = solve(prog, SolverSettings(tol_gap=1e-8, tol_feas=1e-8, tol_infeas=1e-8))
+    assert sol.status == STATUS_OPTIMAL
+    rep = certify(prog, sol, 1e-6)
+    assert rep.ok, rep.failed()
 
 
 def test_presolve_duplicated_slack_free_rows_match_full_qr():
