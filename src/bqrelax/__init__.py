@@ -50,6 +50,6 @@ from .bench import (
     performance_profile,
     run_suite,
 )
-from .symcone import is_psd, smat, svec
+from .symcone import smat, svec
 
 __version__ = "0.1.0"

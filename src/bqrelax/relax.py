@@ -101,13 +101,6 @@ class ConicProgram:
     def n_rows(self) -> int:
         return self.rhs.shape[0]
 
-    def objective_value(self, psd_mat: np.ndarray, nonneg: np.ndarray, free: np.ndarray) -> float:
-        """Model-space objective (offset included) at the given blocks."""
-        val = float(self.obj_psd @ svec(psd_mat))
-        val += float(self.obj_nonneg @ nonneg)
-        val += float(self.obj_free @ free)
-        return val + self.offset
-
 
 @dataclass(eq=False)
 class VariableMap:

@@ -47,13 +47,14 @@ iteration limit returns the best iterate seen, untouched (kept by reference).
 Whether the iterate is in the cone is decided by the Cholesky factors of X
 and S that the NT scaling computes: when either fails, the iterate has left
 the cone and the solve ends there (stop_reason left_cone); nothing is
-repaired, so the PSD step length always bounds the true X and S.
+repaired, so the PSD step length always bounds the true X and S.  Any other
+numerical failure ends it as breakdown (see _iterate).
 
 Linear algebra per iteration: the KKT matrix is assembled in place in one
 buffer per solve, rows in the program's own order (see _SchurRows), and
 factored once by LU; 21 refined back-solves use the factors, and the
 step-length search uses the Cholesky factors of X and S that the NT scaling
-computed.  Inputs already known to be finite skip scipy's finiteness checks.
+computed.  No factorization or solve checks for non-finite values.
 ConicSolution.stats counts the factorizations and both kinds of solves, and
 its stop_reason names the exit the solve took.  An empty block (no PSD block
 in an LP, no orthant, no free part) takes the same path as any other, as
@@ -135,7 +136,7 @@ SOLVE_COUNTS = ("kkt_factorizations", "kkt_solves", "psd_step_solves")
 
 def _zero_stats(stop_reason: str | None = None) -> dict:
     """ConicSolution.stats before any work: zero counts and why the solve
-    ended (one value per exit of _iterate, or presolve_infeasible /
+    ended (one of the five stops of _iterate, or presolve_infeasible /
     presolve_unbounded)."""
     return {**dict.fromkeys(SOLVE_COUNTS, 0), "stop_reason": stop_reason}
 
@@ -531,15 +532,18 @@ class _Point(NamedTuple):
         """x.s + tau kappa."""
         return float(self.x_psd @ self.s_psd + self.x_nn @ self.s_nn) + self.tau * self.kappa
 
+    def finite(self) -> bool:
+        return all(np.isfinite(v).all() for v in self)
+
 
 class _Workspace:
     """One solve's state; the iterate is the _Point pt (single-threaded).
 
-    The best iterate (by worst relative residual) is kept and restored on
-    stalls: problems without a Slater point (the norm for the lifted BQP
-    relaxations, whose feasible lifted matrices are forced singular) have
-    unattained duals, and iterates can degrade after the achievable floor is
-    reached.
+    The best iterate (by worst relative residual or gap) is kept and
+    restored on a numerical stop or the iteration limit: problems without a
+    Slater point (the norm for the lifted BQP relaxations, whose feasible
+    lifted matrices are forced singular) have unattained duals, and iterates
+    can degrade after the achievable floor is reached.
     """
 
     def __init__(self, prog: ConicProgram, settings: SolverSettings):
@@ -669,9 +673,9 @@ def _inf_norm(*arrays):
 def _solve_refined(K: np.ndarray, lu, rhs: np.ndarray, stats: dict, rounds: int = 2) -> np.ndarray:
     """LU solve with iterative refinement; keeps direction accuracy near the
     boundary where the scaled KKT matrix is severely ill-conditioned.  A
-    non-finite rhs raises ValueError; the residuals are checked here, so their
-    solves skip scipy's check."""
-    z = scipy.linalg.lu_solve(lu, rhs)
+    non-finite rhs gives a non-finite z, for _iterate's breakdown guard; no
+    solve checks for it."""
+    z = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
     stats["kkt_solves"] += 1
     for _ in range(rounds):
         err = rhs - K @ z
@@ -829,12 +833,14 @@ def _short_circuit(prog: ConicProgram, status: str, ray: RayCertificate, reason:
 
 
 def _iterate(ws: _Workspace):
-    """Main predictor-corrector loop; returns (status, ray_certificate_or_None)."""
+    """Main predictor-corrector loop; returns (status, ray_certificate_or_None).
+
+    It stops in one of five ways, named in stats["stop_reason"]: optimal,
+    certificate (a primal or dual ray), left_cone (Cholesky rejects X or S),
+    breakdown (mu <= 0, a KKT denominator that is not positive and finite, or
+    a non-finite direction) and iteration_limit."""
     st = ws.settings
     d, p, rows = ws.d, ws.p, ws.rows
-    stalls = 0
-    best_each = np.full(4, np.inf)
-    no_progress = 0
 
     for it in range(st.max_iters):
         pt = ws.pt
@@ -857,17 +863,7 @@ def _iterate(ws: _Workspace):
         if cert is not None:
             return _stop(ws, "certificate", *cert)
 
-        metrics = np.array([pres, dres, gap_rel, gap_mu_rel])
-        ws.snapshot_if_best(float(metrics.max()))
-        if np.any(metrics < 0.9 * best_each):
-            no_progress = 0
-        else:
-            no_progress += 1
-            if no_progress >= 30:  # nothing improved for 30 iterations
-                return _stop(ws, "no_progress")
-        best_each = np.minimum(best_each, metrics)
-        if mu <= 0:
-            return _stop(ws, "mu_nonpositive")
+        ws.snapshot_if_best(max(pres, dres, gap_rel, gap_mu_rel))
 
         # Nesterov-Todd scalings; an X or S that Cholesky rejects has left the cone
         try:
@@ -880,10 +876,7 @@ def _iterate(ws: _Workspace):
 
         K, Vz = ws.kkt(R, w2)
         ws.stats["kkt_factorizations"] += 1
-        try:
-            lu = scipy.linalg.lu_factor(K)
-        except (scipy.linalg.LinAlgError, ValueError):
-            return _stop(ws, "factor_failed")
+        lu = scipy.linalg.lu_factor(K, check_finite=False)
 
         w2c = w2 * ws.c_nn
         u = Vz(c_ps) + ws.matvec(w2c)
@@ -891,8 +884,9 @@ def _iterate(ws: _Workspace):
         q = np.concatenate([ws.b - u, -ws.c_f])
         z2 = _solve_refined(K, lu, np.concatenate([u + ws.b, -ws.c_f]), ws.stats)
         denom = theta_c + kappa / tau + float(q @ z2)
-        if not np.isfinite(denom) or denom <= 0:
-            return _stop(ws, "bad_denominator")
+        # a non-finite K or rhs reaches here as a non-finite denom
+        if not (mu > 0 and 0 < denom < np.inf):
+            return _stop(ws, "breakdown")
 
         lam_outer = 2.0 / np.add.outer(lam, lam)
 
@@ -962,8 +956,8 @@ def _iterate(ws: _Workspace):
 
         # predictor
         aff = direction(0.0, np.zeros((d, d)), np.zeros(p), 0.0)
-        if not all(np.isfinite(v).all() for v in aff):
-            return _stop(ws, "nonfinite_direction")
+        if not aff.finite():
+            return _stop(ws, "breakdown")
         a_aff = min(1.0, max_step(aff))
         mu_aff = pt.step(a_aff, aff).compl() / (ws.nu + 1)
         sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
@@ -976,19 +970,10 @@ def _iterate(ws: _Workspace):
         corr_tk = aff.tau * aff.kappa
 
         comb = direction(sigma, corr_mat, corr_nn, corr_tk)
-        if not all(np.isfinite(v).all() for v in comb):
-            return _stop(ws, "nonfinite_direction")
-        alpha = min(1.0, FRACTION_TO_BOUNDARY * max_step(comb))
-        if alpha < 1e-10:
-            stalls += 1
-            if stalls >= 3:
-                return _stop(ws, "step_stall")
-        else:
-            stalls = 0
-
-        ws.pt = pt.step(alpha, comb)
-        if ws.pt.tau <= 0 or ws.pt.kappa <= 0:
-            return _stop(ws, "tau_kappa_nonpositive")
+        if not comb.finite():
+            return _stop(ws, "breakdown")
+        # at most 0.99 of the step that takes tau or kappa to zero keeps both positive
+        ws.pt = pt.step(min(1.0, FRACTION_TO_BOUNDARY * max_step(comb)), comb)
 
     return _stop(ws, "iteration_limit", STATUS_ITERATION_LIMIT)
 
@@ -1005,11 +990,13 @@ def _stop(ws: _Workspace, reason: str, status: str = STATUS_NUMERICAL_TROUBLE, r
 def _certificate_scan(ws: _Workspace, cx: float, by: float):
     """Verify HSD-side unboundedness/infeasibility certificates at the iterate."""
     st, pt = ws.settings, ws.pt
+    # a ray normalized to c^T d = -1 (b^T y = 1) shrinks like 1/||c|| (1/||b||),
+    # so its rows (cones) are weighed by it, as in SCS (JOTA 169, 2016, 3.5)
     if cx < 0:
         scale = -cx
         Gx = ws.matvec(pt.x_nn, pt.x_psd, pt.x_f)
         ray_norm = _inf_norm(pt.x_psd, pt.x_nn, pt.x_f) / scale
-        if _inf_norm(Gx) / scale <= st.tol_infeas * (1.0 + ray_norm):
+        if _inf_norm(Gx) / scale * max(1.0, ws.cnorm) <= st.tol_infeas * (1.0 + ray_norm):
             ray = RayCertificate(
                 kind="primal",
                 psd=smat(pt.x_psd / scale),
@@ -1024,10 +1011,11 @@ def _certificate_scan(ws: _Workspace, cx: float, by: float):
         yr = pt.y / by
         sp, sn, sf = (-g for g in ws.rmatvec(yr))
         ok = _inf_norm(sf) <= st.tol_infeas
+        tol_cone = st.tol_infeas / max(1.0, ws.bnorm)
         if ok and ws.p:
-            ok = sn.min() >= -st.tol_infeas
+            ok = sn.min() >= -tol_cone
         if ok and ws.d:
-            ok = float(np.linalg.eigvalsh(smat(sp))[0]) >= -st.tol_infeas
+            ok = float(np.linalg.eigvalsh(smat(sp))[0]) >= -tol_cone
         if ok:
             # _assemble builds the slacks in the original rows
             return STATUS_INFEASIBLE, RayCertificate(kind="dual", y=yr)
@@ -1173,8 +1161,10 @@ def certify(prog: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> Certif
         ray = sol.ray
         xs = svec(ray.psd)
         ray_scale = 1.0 + _inf_norm(xs, ray.nonneg, ray.free)
+        # the data weighs the ray as in _certificate_scan
+        cscale = max(1.0, _inf_norm(prog.obj_psd, prog.obj_nonneg, prog.obj_free))
         Gx = prog.G_psd @ xs + prog.G_nonneg @ ray.nonneg + prog.G_free @ ray.free
-        checks.append(CertCheck("ray_rows", _inf_norm(Gx) / ray_scale, tol))
+        checks.append(CertCheck("ray_rows", _inf_norm(Gx) / ray_scale * cscale, tol))
         if d:
             checks.append(CertCheck("ray_psd_cone", -psd_margin(ray.psd), tol))
         if prog.nonneg_count:
@@ -1188,10 +1178,13 @@ def certify(prog: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> Certif
         res_n = prog.G_nonneg.T @ ray.y + ray.slack_nonneg
         res_f = prog.G_free.T @ ray.y
         checks.append(CertCheck("farkas_residual", _inf_norm(res_p, res_n, res_f) / ynorm, tol))
+        bscale = max(1.0, _inf_norm(prog.rhs))  # as in _certificate_scan
         if d:
-            checks.append(CertCheck("farkas_psd_cone", -psd_margin(_on_face(prog, ray.slack_psd)), tol))
+            checks.append(CertCheck("farkas_psd_cone",
+                                    -psd_margin(_on_face(prog, ray.slack_psd)) * bscale, tol))
         if prog.nonneg_count:
-            checks.append(CertCheck("farkas_nonneg_cone", -float(ray.slack_nonneg.min()), tol))
+            checks.append(CertCheck("farkas_nonneg_cone",
+                                    -float(ray.slack_nonneg.min()) * bscale, tol))
         checks.append(CertCheck("farkas_objective>=1", 1.0 - float(prog.rhs @ ray.y), tol))
     else:
         checks.append(CertCheck("status_certifiable", 1.0, 0.0))

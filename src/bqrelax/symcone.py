@@ -90,15 +90,6 @@ def eigvals_sym(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (M + M.T))
 
 
-def is_psd(M: np.ndarray, tol: float = 1e-8) -> bool:
-    """min eig >= -tol * max(1, spectral radius)."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    w = eigvals_sym(M)
-    rad = max(abs(w[0]), abs(w[-1])) if w.size else 0.0
-    return bool(w.size == 0 or w[0] >= -tol * max(1.0, rad))
-
-
 def psd_margin(M: np.ndarray) -> float:
     """Smallest eigenvalue relative to max(1, spectral radius); >= 0 means PSD."""
     w = eigvals_sym(M)

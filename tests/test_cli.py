@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -80,6 +81,19 @@ def test_solve_report_has_stop_reason(tmp_path, capsys):
     # a numerical stop certifies nothing and reports no residuals
     assert rep["certified"] is False
     assert "residuals" not in rep and "certificate" not in rep
+
+
+def test_solve_badly_scaled_instance_ends_in_breakdown(tmp_path, capsys):
+    # Q and c at 1e130: the loop meets non-finite values, which end the
+    # solve as a numerical stop (exit 5) instead of escaping as an exception
+    inst = bqrelax.generate_instance("RdBQP", 6, 2, seed=3)
+    path = tmp_path / "scaled.json"
+    bqrelax.save_instance(dataclasses.replace(inst, Q=inst.Q * 1e130, c=inst.c * 1e130), path)
+    with np.errstate(all="ignore"):
+        code, stdout, _ = run(capsys, "solve", str(path), "--relax", "sdr1")
+    rep = json.loads(stdout)
+    assert (code, rep["status"], rep["stop_reason"]) == (5, "NumericalTrouble", "breakdown")
+    assert rep["certified"] is False
 
 
 def test_solve_report_states_its_verdict(capsys):

@@ -124,7 +124,7 @@ def test_sdr_objective_at_point(ex_tight):
     prog, _ = build_sdr(ex_tight)
     x = -np.ones(2)
     X = np.ones((2, 2))
-    val = prog.objective_value(X, np.zeros(0), x)
+    val = prog.obj_psd @ svec(X) + prog.obj_free @ x + prog.offset
     assert val == pytest.approx(bqp_objective(ex_tight, x))
 
 
@@ -161,7 +161,7 @@ def test_mc_sdr_shapes_and_objective():
     # objective at the analytic optimum U (off-diagonals -1/2)
     U = np.full((3, 3), -0.5)
     np.fill_diagonal(U, 1.0)
-    assert prog.objective_value(U, np.zeros(0), np.zeros(0)) == pytest.approx(2.25)
+    assert prog.obj_psd @ svec(U) + prog.offset == pytest.approx(2.25)
 
 
 def test_mc_dnnp_laplacian_kills_linear_term():

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import logging
 import tracemalloc
@@ -23,6 +24,7 @@ from bqrelax.solver import (
     RANK_PIVOT_REL,
     STATUS_INFEASIBLE,
     STATUS_ITERATION_LIMIT,
+    STATUS_NUMERICAL_TROUBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     SolverSettings,
@@ -116,29 +118,71 @@ def test_stop_reason_names_the_exit(ex_tight):
          "presolve_infeasible"),
         (build_sdr(ex_tight)[0], SolverSettings(), STATUS_UNBOUNDED, "presolve_unbounded"),
         (lp([1.0, 2.0], [[1.0, 1.0]], [1.0]), SolverSettings(), STATUS_OPTIMAL, "optimal"),
+        # badly scaled but well posed: an objective entry of 1e50 converges,
+        # one of 1e130 gives a non-finite direction and one of 1e200 a
+        # non-finite KKT denominator
+        (lp([1e50, 1.0], [[1.0, 1.0]], [1.0]), SolverSettings(), STATUS_OPTIMAL, "optimal"),
+        (lp([1e130, 1.0], [[1.0, 1.0]], [1.0]), SolverSettings(), STATUS_NUMERICAL_TROUBLE,
+         "breakdown"),
+        (lp([1e200, 1.0], [[1.0, 1.0]], [1.0]), SolverSettings(), STATUS_NUMERICAL_TROUBLE,
+         "breakdown"),
     ]
     for prog, settings, status, reason in cases:
-        sol = solve(prog, settings)
+        # a breakdown overflows by design; every other solve stays warning-free
+        with np.errstate(all="ignore") if reason == "breakdown" else contextlib.nullcontext():
+            sol = solve(prog, settings)
         assert (sol.status, sol.stats["stop_reason"]) == (status, reason)
         # every exit returns blocks shaped as the program's, empty ones (d = 0) included
         d, p, f = prog.psd_order, prog.nonneg_count, prog.free_count
         blocks = (sol.primal_psd, sol.primal_nonneg, sol.primal_free, sol.dual_y,
                   sol.dual_slack_psd, sol.dual_slack_nonneg)
         assert [b.shape for b in blocks] == [(d, d), (p,), (f,), (prog.n_rows,), (d, d), (p,)]
-        if status != STATUS_ITERATION_LIMIT:
+        if status not in (STATUS_ITERATION_LIMIT, STATUS_NUMERICAL_TROUBLE):
             assert certify(prog, sol, 1e-6).ok, (reason, certify(prog, sol, 1e-6).failed())
 
 
 def test_stop_reason_of_a_desk_stall():
     # a NumericalTrouble solve of the bqp-desk benchmark workload (seed 2)
     sol = solve(build_dnnp(generate_instance("RdiBQP", 12, 5, seed=33))[0])
-    assert sol.status == solver.STATUS_NUMERICAL_TROUBLE
+    assert sol.status == STATUS_NUMERICAL_TROUBLE
     # Cholesky rejects an iterate that has left the PSD cone, which ends the solve
     assert sol.stats["stop_reason"] == "left_cone"
     # the best iterate comes back untouched by the steps taken after it
     best = (sol.residuals[0], sol.residuals[1])
     logged = [(h.pres, h.dres) for h in sol.history]
     assert best in logged and best != logged[-1]
+
+
+@pytest.mark.parametrize("relax", [build_sdr1, build_sdr2, build_dnnp])
+def test_scaled_objective_is_not_certified_unbounded(relax):
+    # a ray normalized to c^T d = -1 shrinks like 1/||c||, so a residual test
+    # blind to ||c|| accepted one for these bounded relaxations at Q, c x 1e8
+    inst = generate_instance("RdBQP", 6, 2, seed=3)
+    base = solve(relax(inst)[0])
+    prog, _ = relax(dataclasses.replace(inst, Q=inst.Q * 1e8, c=inst.c * 1e8))
+    sol = solve(prog)
+    assert sol.status == STATUS_OPTIMAL
+    assert certify(prog, sol, 1e-6).ok, certify(prog, sol, 1e-6).failed()
+    assert sol.primal_obj == pytest.approx(1e8 * base.primal_obj, rel=1e-6)
+
+
+def test_certify_weighs_a_ray_by_the_data():
+    # bounded and feasible LPs; each ray passes its cone and row checks only
+    # because it is small (1e-10), as normalizing it to the data makes it
+    unb = solver.ConicSolution(
+        status=STATUS_UNBOUNDED, primal_psd=np.zeros((0, 0)), primal_nonneg=np.zeros(2),
+        primal_free=np.zeros(0), dual_y=np.zeros(1), dual_slack_psd=np.zeros((0, 0)),
+        dual_slack_nonneg=np.zeros(2), primal_obj=-np.inf, dual_obj=np.nan, iters=0,
+        residuals=(np.nan,) * 3,
+        ray=solver.RayCertificate(kind="primal", psd=np.zeros((0, 0)),
+                                  nonneg=np.array([1e-10, 0.0]), free=np.zeros(0)))
+    rep = certify(lp([-1e10, 1.0], [[1.0, 1.0]], [1.0]), unb, 1e-6)
+    assert [c.name for c in rep.failed()] == ["ray_rows"]
+    inf = dataclasses.replace(unb, status=STATUS_INFEASIBLE, primal_obj=np.nan,
+                              ray=solver._dual_ray(lp([1.0, 2.0], [[1.0, 1.0]], [1e10]),
+                                                   np.array([1e-10])))
+    rep = certify(lp([1.0, 2.0], [[1.0, 1.0]], [1e10]), inf, 1e-6)
+    assert [c.name for c in rep.failed()] == ["farkas_nonneg_cone"]
 
 
 def test_settings_validation():
@@ -978,14 +1022,30 @@ def test_solve_refined_matches_scipy_lu_solve(n):
         assert stats == {**zero_stats(), "kkt_solves": 3}
 
 
-def test_solve_refined_nan_rhs_raises():
+def test_solve_refined_nonfinite_rhs_ends_in_breakdown(monkeypatch):
+    # no solve checks for non-finite values: a non-finite rhs gives a
+    # non-finite z, and the refinement stops at its non-finite residual
     K = np.eye(3) + 0.1
     lu = scipy.linalg.lu_factor(K)
-    with pytest.raises(ValueError):
-        scipy.linalg.lu_solve(lu, np.array([1.0, np.nan, 0.0]))
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            solver._solve_refined(K, lu, np.array([1.0, bad, 0.0]), zero_stats())
+        stats = zero_stats()
+        with np.errstate(all="ignore"):
+            z = solver._solve_refined(K, lu, np.array([1.0, bad, 0.0]), stats)
+        assert not np.isfinite(z).all()
+        assert stats == {**zero_stats(), "kkt_solves": 1}
+    # in a solve, the non-finite z ends the loop at the breakdown guard
+    nonfinite = []
+
+    def recorded(K, lu, rhs, stats):
+        nonfinite.append(not np.isfinite(rhs).all())
+        return solve_refined(K, lu, rhs, stats)
+
+    solve_refined = solver._solve_refined
+    monkeypatch.setattr(solver, "_solve_refined", recorded)
+    with np.errstate(all="ignore"):
+        sol = solve(lp([1e130, 1.0], [[1.0, 1.0]], [1.0]))
+    assert (sol.status, sol.stats["stop_reason"]) == (STATUS_NUMERICAL_TROUBLE, "breakdown")
+    assert any(nonfinite) and not nonfinite[0]
 
 
 def random_psd_svec(rng, d, rank=None):

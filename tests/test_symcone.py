@@ -5,7 +5,6 @@ from bqrelax.symcone import (
     DimensionError,
     NumericError,
     eigvals_sym,
-    is_psd,
     lifted_matrix,
     psd_margin,
     smat,
@@ -130,28 +129,24 @@ def test_min_eigenvalue_nonfinite():
 
 
 def test_is_psd_examples():
-    assert is_psd(np.eye(2), 1e-8)
-    assert not is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-8)
-    assert is_psd(np.zeros((3, 3)), 1e-8)
-
-
-def test_is_psd_negative_tol_rejected():
-    with pytest.raises(ValueError):
-        is_psd(np.eye(2), -1.0)
+    # M is PSD to tol when psd_margin(M) >= -tol
+    assert psd_margin(np.eye(2)) >= -1e-8
+    assert not psd_margin(np.array([[1.0, 2.0], [2.0, 1.0]])) >= -1e-8
+    assert psd_margin(np.zeros((3, 3))) >= -1e-8
 
 
 def test_is_psd_scale_invariant():
-    # relative tolerance: a matrix scaled by 1e6 keeps its verdict
+    # relative margin: a matrix scaled by 1e6 keeps its verdict
     M = np.array([[1.0, 0.999], [0.999, 1.0]])
-    assert is_psd(M, 1e-8) == is_psd(1e6 * M, 1e-8)
+    assert (psd_margin(M) >= -1e-8) == (psd_margin(1e6 * M) >= -1e-8)
 
 
 def test_lifted_psd_check_examples():
-    # [[1, x^T], [x, X]] >= 0 is checked as is_psd(lifted_matrix(1, x, X))
+    # [[1, x^T], [x, X]] >= 0 is checked as psd_margin(lifted_matrix(1, x, X)) >= -tol
     e = np.ones(2)
-    assert is_psd(lifted_matrix(1.0, -e, np.outer(e, e)))
-    assert is_psd(lifted_matrix(1.0, np.zeros(2), np.eye(2)))
-    assert not is_psd(lifted_matrix(1.0, np.array([2.0, 0.0]), np.eye(2)))
+    assert psd_margin(lifted_matrix(1.0, -e, np.outer(e, e))) >= -1e-8
+    assert psd_margin(lifted_matrix(1.0, np.zeros(2), np.eye(2))) >= -1e-8
+    assert not psd_margin(lifted_matrix(1.0, np.array([2.0, 0.0]), np.eye(2))) >= -1e-8
 
 
 def test_lifted_psd_check_dim_mismatch():
@@ -173,7 +168,8 @@ def test_schur_equivalence_property():
         if abs(direct) <= 1e-6:
             continue
         checked += 1
-        assert is_psd(lifted_matrix(1.0, x, X), 1e-8) == is_psd(X - np.outer(x, x), 1e-8)
+        assert ((psd_margin(lifted_matrix(1.0, x, X)) >= -1e-8)
+                == (psd_margin(X - np.outer(x, x)) >= -1e-8))
     assert checked > 100
 
 
@@ -185,5 +181,5 @@ def test_psd_implication_direction():
         x = rng.standard_normal(n)
         B = rng.standard_normal((n, n))
         X = np.outer(x, x) + B @ B.T  # X - xx^T = BB^T >= 0 by construction
-        assert is_psd(X - np.outer(x, x), 1e-8)
-        assert is_psd(X, 1e-8)
+        assert psd_margin(X - np.outer(x, x)) >= -1e-8
+        assert psd_margin(X) >= -1e-8
