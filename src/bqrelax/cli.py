@@ -71,14 +71,15 @@ def cmd_gen(args) -> int:
 
 def _solve_one(args, data, builders, what) -> int:
     """Build relaxation args.relax of data from builders, solve it and print
-    the JSON report, with certify's verdict at 1e-6 as ``certified`` (false
-    for a status that certifies nothing); the exit code follows the status."""
+    the JSON report, with certify's verdict at 1e-6 as ``certified`` and,
+    unless the solve returns a ray, the residuals of the point it returns;
+    the exit code follows the status."""
     if args.relax not in builders:
         print(f"error: unknown {what} {args.relax!r}", file=sys.stderr)
         return EXIT_USAGE
     prog, _ = builders[args.relax](data)
     sol = solver.solve(prog, _settings(args))
-    cert = solver.certify(prog, sol, 1e-6)
+    cert = solver.certify(prog, sol, bench.CERTIFY_TOL)
     report = {
         "relax": prog.label,
         "status": sol.status,
@@ -89,9 +90,9 @@ def _solve_one(args, data, builders, what) -> int:
         "stats": {k: sol.stats[k] for k in solver.SOLVE_COUNTS},
         "certified": cert.ok,
     }
-    if sol.status in (solver.STATUS_OPTIMAL, solver.STATUS_ITERATION_LIMIT):
+    if sol.ray is None:
         report["residuals"] = dict(zip(("primal", "dual", "gap"), sol.residuals))
-    elif sol.ray is not None:  # Unbounded / Infeasible
+    else:  # Unbounded / Infeasible
         report["certificate"] = {"kind": sol.ray.kind, "verified": cert.ok}
     print(json.dumps(report, sort_keys=True))
     if sol.status == solver.STATUS_OPTIMAL:
@@ -120,8 +121,9 @@ def cmd_compare(args) -> int:
         prog, _ = relax.RELAXATION_BUILDERS[m](inst)
         sol = solver.solve(prog, settings)
         records.append(bench.RunRecord(
-            instance_id=inst.name, method=m, status=sol.status, bound=sol.primal_obj,
-            iters=sol.iters, wall_time=sol.solve_time, seed=0))
+            instance_id=inst.name, method=m, status=sol.status,
+            bound=bench.certified_bound(prog, sol), iters=sol.iters,
+            wall_time=sol.solve_time, seed=0))
         if sol.status == solver.STATUS_NUMERICAL_TROUBLE:
             worst = EXIT_NUMERICAL
     print(f"{'method':8s} {'status':16s} {'bound':>18s} {'iters':>6s} {'time':>9s}")

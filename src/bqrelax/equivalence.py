@@ -13,7 +13,9 @@ and the max-cut pair by
 Both pairs are exact affine inverses on their natural slices, transport
 objectives identically (algebraic identities, tested to 1e-10 on random
 points), and map feasible points to feasible points; verify_theorem3 /
-verify_theorem4 run both solves and check all of it numerically.
+verify_theorem4 run both solves, at the solver defaults, and check all of it
+numerically.  A solve is used only if it returns a point that certify passes
+at tol/10, so a fail verdict comes from the maps, not from solver error.
 """
 
 import json
@@ -22,15 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import BqpInstance, MaxCutGraph, laplacian
-from .relax import build_dnnp, build_mc_dnnp, build_mc_sdr, build_sdr2, build_zspace
-from .solver import STATUS_ITERATION_LIMIT, STATUS_OPTIMAL, ConicSolution, SolverSettings, solve
+from .relax import ConicProgram, build_dnnp, build_mc_dnnp, build_mc_sdr, build_sdr2, build_zspace
+from .solver import ConicSolution, certify, solve
 from .symcone import DimensionError, lifted_matrix, psd_margin
-
-# Solver settings for the theorem-verification suites: the lifted relaxations
-# have no Slater point, and a few facially-reduced DNNP instances floor at a
-# primal residual near 2e-7, so Optimal is declared at 3e-7/1e-7 - still ~30x
-# below the 1e-5 tolerance the verification checks run at.
-THEOREM_SETTINGS = SolverSettings(tol_feas=3e-7, tol_gap=1e-7, max_iters=300)
 
 DEFAULT_EQUIV_TOL = 1e-6
 
@@ -210,32 +206,27 @@ def check_feasibility(kind: str, point, data, tol: float = DEFAULT_EQUIV_TOL) ->
     return viols
 
 
-def _usable(sol: ConicSolution) -> tuple[bool, str]:
-    """A solve is usable for verification if Optimal, or at iteration limit
-    with a still-small gap (near-optimal points exercise the maps fine)."""
-    if sol.status == STATUS_OPTIMAL:
-        return True, ""
-    if sol.status == STATUS_ITERATION_LIMIT and sol.residuals[2] < 1e-6:
-        return True, f"{sol.status} with gap {sol.residuals[2]:.2e}; proceeding with a warning"
-    return False, f"solver status {sol.status}"
+def _usable(prog: ConicProgram, sol: ConicSolution, tol: float) -> str:
+    """Why the solve cannot be used for verification: it returns a ray, not a
+    point, or its point fails certify at tol/10; "" when it can."""
+    if sol.ray is not None:
+        return f"{prog.label} {sol.status}: a ray, not an optimum"
+    failed = certify(prog, sol, tol / 10).failed()
+    return "; ".join(f"{prog.label} {sol.status}: certify {c.name} {c.value:.2e} > {c.threshold:.0e}"
+                     for c in failed)
 
 
-def _verify(built_a, built_b, transport, tol: float,
-            settings: SolverSettings | None) -> EquivalenceReport:
+def _verify(built_a, built_b, transport, tol: float) -> EquivalenceReport:
     """The body of both theorem checks.  Solve relaxations A and B, given as
     their builders' (program, variable map); unless both solves are usable,
-    the verdict is not_applicable.  transport(a, b) takes the extracted
-    optima and returns the violations of A's optimum mapped into B's space,
-    B's objective there, and the same the other way round."""
-    settings = settings or THEOREM_SETTINGS
+    the verdict is not_applicable and detail says why.  transport(a, b) takes
+    the extracted optima and returns the violations of A's optimum mapped into
+    B's space, B's objective there, and the same the other way round."""
     (prog_a, vm_a), (prog_b, vm_b) = built_a, built_b
-    sol_a = solve(prog_a, settings)
-    sol_b = solve(prog_b, settings)
-    ok_a, note_a = _usable(sol_a)
-    ok_b, note_b = _usable(sol_b)
-    detail = "; ".join(filter(None, [note_a, note_b]))
+    sol_a, sol_b = solve(prog_a), solve(prog_b)
+    detail = "; ".join(filter(None, [_usable(prog_a, sol_a, tol), _usable(prog_b, sol_b, tol)]))
     opt_a, opt_b = sol_a.primal_obj, sol_b.primal_obj
-    if not (ok_a and ok_b):
+    if detail:
         return EquivalenceReport(
             opt_a=opt_a, opt_b=opt_b, mapped_feasible_ab=False, mapped_feasible_ba=False,
             objective_match_ab=False, objective_match_ba=False,
@@ -258,13 +249,11 @@ def _verify(built_a, built_b, transport, tol: float,
         opt_a=opt_a, opt_b=opt_b,
         mapped_feasible_ab=not viol_ab, mapped_feasible_ba=not viol_ba,
         objective_match_ab=obj_ab, objective_match_ba=obj_ba,
-        max_violation=max_v, verdict=verdict, detail=detail,
-        violations=viols,
+        max_violation=max_v, verdict=verdict, violations=viols,
     )
 
 
-def verify_theorem3(inst: BqpInstance, tol: float = DEFAULT_EQUIV_TOL,
-                    settings: SolverSettings | None = None) -> EquivalenceReport:
+def verify_theorem3(inst: BqpInstance, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceReport:
     """Solve the cut-strengthened SDR and the DNN relaxation, map each optimum
     into the other space, and check feasibility plus objective transport both
     ways; pass iff everything holds at tol and the optima agree."""
@@ -278,11 +267,10 @@ def verify_theorem3(inst: BqpInstance, tol: float = DEFAULT_EQUIV_TOL,
 
     # builders and solve are looked up at call time, so wrapping the module
     # attributes (as a tracer does) sees every call
-    return _verify(build_sdr2(inst), build_dnnp(inst), transport, tol, settings)
+    return _verify(build_sdr2(inst), build_dnnp(inst), transport, tol)
 
 
-def verify_theorem4(G: MaxCutGraph, tol: float = DEFAULT_EQUIV_TOL,
-                    settings: SolverSettings | None = None) -> EquivalenceReport:
+def verify_theorem4(G: MaxCutGraph, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceReport:
     """Max-cut analogue of verify_theorem3 (both feasible sets are always
     nonempty: the identity matrix and the zero point)."""
 
@@ -292,7 +280,7 @@ def verify_theorem4(G: MaxCutGraph, tol: float = DEFAULT_EQUIV_TOL,
         return (check_feasibility("mc_dnnp", mapped_b, G, tol), mc_dnnp_objective(G, mapped_b),
                 check_feasibility("mc_sdr", mapped_a, G, tol), mc_sdr_objective(G, mapped_a))
 
-    return _verify(build_mc_sdr(G), build_mc_dnnp(G), transport, tol, settings)
+    return _verify(build_mc_sdr(G), build_mc_dnnp(G), transport, tol)
 
 
 def rank_one_certificate(p: PointXX, tol: float = 1e-6) -> dict:

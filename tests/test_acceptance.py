@@ -17,7 +17,6 @@ import pytest
 
 from bqrelax import bench, model
 from bqrelax.equivalence import (
-    THEOREM_SETTINGS,
     PointXX,
     dnnp_objective,
     dnnp_to_sdr2_point,
@@ -33,7 +32,7 @@ from bqrelax.equivalence import (
 )
 from bqrelax.model import brute_force_bqp, brute_force_maxcut, generate_instance, random_graph
 from bqrelax.relax import build_dnnp, build_mc_sdr, build_sdr, build_sdr1, build_sdr2
-from bqrelax.solver import STATUS_OPTIMAL, STATUS_UNBOUNDED, SolverSettings, certify, solve
+from bqrelax.solver import STATUS_OPTIMAL, STATUS_UNBOUNDED, certify, solve
 
 FAMILIES = model.GENERATOR_KINDS
 SUITE_N, SUITE_M, SUITE_COUNT = 10, 4, 20
@@ -63,16 +62,18 @@ def thm3_instances():
 
 @pytest.fixture(scope="module")
 def chain_solves(thm3_instances):
-    """sdr/sdr1/sdr2/dnnp solves plus the brute-force optimum per instance."""
+    """sdr/sdr1/sdr2/dnnp bounds at the solver defaults (NaN for a solve that
+    does not certify at 1e-6) plus the brute-force optimum per instance."""
     out = []
     for kind, seed, inst in thm3_instances:
-        sols = {}
+        bounds = {}
         for name, builder in (("sdr", build_sdr), ("sdr1", build_sdr1),
                               ("sdr2", build_sdr2), ("dnnp", build_dnnp)):
             prog, _ = builder(inst)
-            sols[name] = _pool(f"{inst.name}:{name}", prog, solve(prog, THEOREM_SETTINGS))
+            sol = _pool(f"{inst.name}:{name}", prog, solve(prog))
+            bounds[name] = bench.certified_bound(prog, sol)
         exact = brute_force_bqp(inst)
-        out.append((kind, seed, inst, sols, exact))
+        out.append((kind, seed, inst, bounds, exact))
     return out
 
 
@@ -155,7 +156,7 @@ def test_criterion_4_maxcut_equivalence(cut_graphs, tri_graph):
         rep = verify_theorem4(G, 1e-5)
         if rep.verdict != "pass" or rep.detail:
             fails.append((seed, rep.verdict, rep.detail))
-    tri = verify_theorem4(tri_graph, 1e-6, settings=SolverSettings())
+    tri = verify_theorem4(tri_graph, 1e-6)
     tri_ok = (tri.verdict == "pass"
               and abs(tri.opt_a - 2.25) <= 1e-6 and abs(tri.opt_b - 2.25) <= 1e-6)
     ok = not fails and tri_ok
@@ -164,14 +165,10 @@ def test_criterion_4_maxcut_equivalence(cut_graphs, tri_graph):
 
 
 def test_criterion_5_bound_chain(chain_solves):
-    def val(sol):
-        if sol.status == STATUS_UNBOUNDED:
-            return -np.inf
-        return sol.primal_obj if sol.status == STATUS_OPTIMAL else np.nan
-
+    # a certified Unbounded plain SDR has bound -inf
     fails = []
-    for kind, seed, inst, sols, exact in chain_solves:
-        chain = [val(sols["sdr"]), val(sols["sdr1"]), val(sols["sdr2"]), exact.opt]
+    for kind, seed, inst, bounds, exact in chain_solves:
+        chain = [bounds["sdr"], bounds["sdr1"], bounds["sdr2"], exact.opt]
         if any(np.isnan(v) for v in chain if v is not None):
             fails.append((kind, seed, "solver failure"))
             continue
@@ -278,8 +275,7 @@ def test_criterion_9_profile_methodology():
 
     # (b) desk-scale suite: curves monotone and bounded; SDR2 and DNNP curves
     #     coincide beyond the eps-floor noise zone and dominate SDR1 there
-    records = bench.run_suite("RdBQP", 20, 12, 5, ["sdr1", "sdr2", "dnnp"],
-                              base_seed=100, settings=THEOREM_SETTINGS)
+    records = bench.run_suite("RdBQP", 20, 12, 5, ["sdr1", "sdr2", "dnnp"], base_seed=100)
     curves = {c.method: c for c in bench.performance_profile(records, metric="bound")}
     mono_ok = True
     for c in curves.values():

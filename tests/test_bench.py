@@ -13,7 +13,8 @@ from bqrelax.bench import (
 from bqrelax.solver import SolverSettings
 
 
-def rec(inst, method, bound=np.nan, iters=1, time_=1.0, status="Optimal"):
+def rec(inst, method, bound=0.0, iters=1, time_=1.0, status="Optimal"):
+    """A record; a solve that did not certify carries bound NaN."""
     return RunRecord(instance_id=inst, method=method, status=status,
                      bound=bound, iters=iters, wall_time=time_, seed=0)
 
@@ -86,7 +87,7 @@ def test_profile_common_rescaling_invariance():
 def test_profile_bound_metric_transform():
     # best bound costs exactly eps; gaps are absolute; failures cost +inf
     records = [rec("p1", "A", bound=10.0), rec("p1", "B", bound=9.0),
-               rec("p2", "A", bound=0.0), rec("p2", "B", bound=0.0, status="IterationLimit")]
+               rec("p2", "A", bound=0.0), rec("p2", "B", bound=np.nan, status="IterationLimit")]
     curves = {c.method: c for c in performance_profile(records, metric="bound")}
     assert curves["A"].rho_at(1.0) == 1.0          # A best on both
     assert curves["B"].points[-1][1] == 0.5        # B failed p2: curve capped below 1
@@ -100,7 +101,8 @@ def test_profile_tied_ratios_match_the_recount():
     # exactly 1 everywhere: each breakpoint's share is the plain recount
     costs = {"p1": (1, 2, 2), "p2": (3, 3, 6), "p3": (2, 4, 4), "p4": (1, 1, 1),
              "p5": (2, 4, None)}
-    records = [rec(p, m, iters=c, status="Optimal" if c else "NumericalTrouble")
+    records = [rec(p, m, iters=c, bound=0.0 if c else np.nan,
+                   status="Optimal" if c else "NumericalTrouble")
                for p, row in costs.items() for m, c in zip("ABC", row)]
     curves = performance_profile(records, metric="iters")
     for curve in curves:
@@ -137,6 +139,17 @@ def test_run_suite_shapes_and_determinism():
     assert [r.status for r in a] == [r.status for r in b]
     np.testing.assert_array_equal([r.bound for r in a], [r.bound for r in b])
     assert all(r.wall_time >= 0 for r in a)
+
+
+def test_run_suite_keeps_a_bound_when_the_solve_certifies():
+    # the status does not decide: a stall (the RdiBQP s33 dnnp solve leaves
+    # the PSD cone) whose best iterate certifies at 1e-6 keeps its bound, and
+    # an iteration-limit stop whose iterate does not certify gets NaN
+    (stall,) = run_suite("RdiBQP", 1, 12, 5, ["dnnp"], base_seed=32)
+    assert stall.status == "NumericalTrouble" and np.isfinite(stall.bound)
+    (cut,) = run_suite("RdiBQP", 1, 12, 5, ["dnnp"], base_seed=32,
+                       settings=SolverSettings(max_iters=2))
+    assert cut.status == "IterationLimit" and np.isnan(cut.bound)
 
 
 def test_run_suite_validates_methods():
@@ -201,9 +214,9 @@ def test_bound_order_report_flags_violations():
 
 
 def test_bound_order_report_ignores_bounds_of_unsolved_records():
-    # a stalled sdr1 solve still carries a finite primal objective: it is
-    # no bound, so it cannot violate the order
-    records = [rec("p1", "sdr1", bound=5.0, status="NumericalTrouble"),
+    # a solve that does not certify is recorded with bound NaN, whatever its
+    # primal objective: it is no bound, so it cannot violate the order
+    records = [rec("p1", "sdr1", bound=np.nan, status="NumericalTrouble"),
                rec("p1", "sdr2", bound=4.0), rec("p1", "dnnp", bound=4.0)]
     rep = bound_order_report(records, tol=1e-5)
     assert rep.ok and rep.order_violations == []

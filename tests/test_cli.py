@@ -78,9 +78,11 @@ def test_solve_report_has_stop_reason(tmp_path, capsys):
     assert code == 5
     rep = json.loads(stdout)
     assert rep["stop_reason"] == "left_cone"
-    # a numerical stop certifies nothing and reports no residuals
-    assert rep["certified"] is False
-    assert "residuals" not in rep and "certificate" not in rep
+    # its best iterate is a point: certify checks it (it passes at 1e-6),
+    # and the report gives its residuals; the exit code still follows the status
+    assert rep["certified"] is True
+    assert set(rep["residuals"]) == {"primal", "dual", "gap"}
+    assert "certificate" not in rep
 
 
 def test_solve_badly_scaled_instance_ends_in_breakdown(tmp_path, capsys):
@@ -162,6 +164,16 @@ def test_compare_table(capsys):
     bounds = [float(ln.split()[2]) for ln in stdout.splitlines()
               if ln.startswith(("sdr1", "sdr2", "dnnp"))]
     np.testing.assert_allclose(bounds, -28.0, atol=1e-5)
+
+
+def test_compare_keeps_only_certified_bounds(capsys):
+    # two iterations certify nothing: every bound is nan, whatever the
+    # primal objective, and so cannot break the ordering checks
+    code, stdout, _ = run(capsys, "compare", TIGHT, "--relax", "sdr1,sdr2,dnnp",
+                          "--max-iters", "2")
+    rows = [ln.split() for ln in stdout.splitlines() if ln.startswith(("sdr1", "sdr2", "dnnp"))]
+    assert [(r[1], r[2]) for r in rows] == [("IterationLimit", "nan")] * 3
+    assert code == 0 and "bound ordering checks: ok" in stdout
 
 
 def test_compare_unknown_tag_exit_2(capsys):

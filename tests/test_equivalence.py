@@ -197,6 +197,26 @@ def test_verify_theorem3_infeasible_relaxation_not_applicable():
                        A=np.array([[1.0, 1.0]]), b=np.array([3.0]))
     rep = verify_theorem3(inst, 1e-6)
     assert rep.verdict == "not_applicable"
+    assert "Infeasible: a ray" in rep.detail
+
+
+# desk instances (n=12, m=5) whose verdict read fail when both solves stopped
+# at 3e-7/1e-7, looser than the 1e-6 check; at the solver defaults, with each
+# solve used only if it certifies at tol/10, none of them fails
+DESK_FALSE_FAILS = [("RdiBQP", 3), ("RdiBQP", 13), ("RdBQP", 2), ("RdBQP", 5),
+                    ("RdBQP", 7), ("RdBQP", 13), ("RdsBQP", 13)]
+
+
+@pytest.mark.parametrize("kind, seed", DESK_FALSE_FAILS)
+def test_verify_theorem3_desk_instance_does_not_fail(kind, seed):
+    rep = verify_theorem3(generate_instance(kind, 12, 5, seed=seed))
+    assert rep.verdict != "fail", rep.to_json()
+    if rep.verdict == "pass":
+        assert rep.detail == ""
+    else:  # a solve that does not certify at 1e-7 is named with its failing check
+        assert "certify" in rep.detail and "> 1e-07" in rep.detail
+    if (kind, seed) == ("RdBQP", 2):
+        assert rep.verdict == "pass"
 
 
 def test_verify_theorem3_empty_binary_nonempty_relaxation():

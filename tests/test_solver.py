@@ -49,6 +49,12 @@ def lp(obj, rows, rhs, sense="min", free_cols=0):
     )
 
 
+# min x1 + 2 x2 + 3 x3, x1 + x2 = 1, x1 + x3 = 1, x >= 0 (optimum 1 at x1 = 1):
+# column x1 sits in both rows, so its Schur term is a dense product, not a
+# diagonal one
+SHARED_COLUMN_LP = lp([1.0, 2.0, 3.0], [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]], [1.0, 1.0])
+
+
 def one_by_one_psd(rhs_val):
     return ConicProgram(
         sense="min", psd_order=1, nonneg_count=0, free_count=0,
@@ -108,6 +114,16 @@ def test_iteration_limit_status():
     assert sol.iters == 2
 
 
+def trace_over_psd_2x2():
+    """min tr X over 2 x 2 PSD X, with no rows."""
+    return ConicProgram(
+        sense="min", psd_order=2, nonneg_count=0, free_count=0,
+        obj_psd=svec(np.eye(2)), obj_nonneg=np.zeros(0), obj_free=np.zeros(0),
+        offset=0.0, G_psd=np.zeros((0, 3)), G_nonneg=np.zeros((0, 0)),
+        G_free=np.zeros((0, 0)), rhs=np.zeros(0), label="trace",
+    )
+
+
 def test_stop_reason_names_the_exit(ex_tight):
     prog, _ = build_sdr1(ex_tight)
     cases = [
@@ -118,6 +134,11 @@ def test_stop_reason_names_the_exit(ex_tight):
          "presolve_infeasible"),
         (build_sdr(ex_tight)[0], SolverSettings(), STATUS_UNBOUNDED, "presolve_unbounded"),
         (lp([1.0, 2.0], [[1.0, 1.0]], [1.0]), SolverSettings(), STATUS_OPTIMAL, "optimal"),
+        (SHARED_COLUMN_LP, SolverSettings(), STATUS_OPTIMAL, "optimal"),
+        # presolve's two early returns: a program without rows, and one whose
+        # only row is 0 x = 0 (dropped, so no row is left)
+        (trace_over_psd_2x2(), SolverSettings(), STATUS_OPTIMAL, "optimal"),
+        (lp([1.0, 2.0], [[0.0, 0.0]], [0.0]), SolverSettings(), STATUS_OPTIMAL, "optimal"),
         # badly scaled but well posed: an objective entry of 1e50 converges,
         # one of 1e130 gives a non-finite direction and one of 1e200 a
         # non-finite KKT denominator
@@ -137,16 +158,32 @@ def test_stop_reason_names_the_exit(ex_tight):
         blocks = (sol.primal_psd, sol.primal_nonneg, sol.primal_free, sol.dual_y,
                   sol.dual_slack_psd, sol.dual_slack_nonneg)
         assert [b.shape for b in blocks] == [(d, d), (p,), (f,), (prog.n_rows,), (d, d), (p,)]
-        if status not in (STATUS_ITERATION_LIMIT, STATUS_NUMERICAL_TROUBLE):
-            assert certify(prog, sol, 1e-6).ok, (reason, certify(prog, sol, 1e-6).failed())
+        # certify checks whatever each exit returns: the one-iteration point and
+        # the breakdowns' points fail it, every other exit passes
+        rep = certify(prog, sol, 1e-6)
+        assert rep.ok == (status not in (STATUS_ITERATION_LIMIT, STATUS_NUMERICAL_TROUBLE)), \
+            (reason, rep.failed())
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="the stopping test bounds the residual of the normalized rows "
+                          "only: x1 + 1e10 x2 = 1 ends Optimal with primal_rows 0.74")
+def test_optimal_bounds_the_original_row_residual():
+    prog = lp([1.0, 2.0], [[1.0, 1e10]], [1.0])
+    sol = solve(prog)
+    assert sol.status == STATUS_OPTIMAL
+    assert certify(prog, sol, 1e-6).ok, certify(prog, sol, 1e-6).failed()
 
 
 def test_stop_reason_of_a_desk_stall():
     # a NumericalTrouble solve of the bqp-desk benchmark workload (seed 2)
-    sol = solve(build_dnnp(generate_instance("RdiBQP", 12, 5, seed=33))[0])
+    prog = build_dnnp(generate_instance("RdiBQP", 12, 5, seed=33))[0]
+    sol = solve(prog)
     assert sol.status == STATUS_NUMERICAL_TROUBLE
     # Cholesky rejects an iterate that has left the PSD cone, which ends the solve
     assert sol.stats["stop_reason"] == "left_cone"
+    # the best iterate is a point that certify checks, and it passes at 1e-6
+    assert certify(prog, sol, 1e-6).ok
     # the best iterate comes back untouched by the steps taken after it
     best = (sol.residuals[0], sol.residuals[1])
     logged = [(h.pres, h.dres) for h in sol.history]
@@ -484,6 +521,7 @@ SCHUR_PROGRAMS = {
     "sdr1": lambda: build_sdr1(generate_instance("RdBQP", 6, 3, seed=1))[0],
     "sdr2": lambda: build_sdr2(generate_instance("RdBQP", 6, 3, seed=1))[0],
     "dnnp": lambda: build_dnnp(generate_instance("RdBQP", 6, 3, seed=1))[0],
+    "lp_shared": lambda: SHARED_COLUMN_LP,
 }
 
 
@@ -501,6 +539,8 @@ def test_schur_block_matches_congruence_reference(name):
     rows = ws.schur
     if name.startswith("mc_"):
         assert rows.dense.size == 0
+    elif name == "lp_shared":  # an orthant column in two rows: a dense product
+        assert rows.Gn_dense_cols.size
     else:  # sparse and dense rows both present: the cross block is exercised
         assert rows.sparse.size and rows.dense.size
     rng = np.random.default_rng(7)
@@ -519,12 +559,13 @@ def test_schur_block_matches_congruence_reference(name):
 
 
 def test_maxcut_thm4_graph_keeps_verdict_and_iterations(monkeypatch):
-    # one graph of the maxcut-thm4 benchmark workload; the iteration counts
-    # are those of the assembly that built M apart and copied it into K
+    # one graph of the maxcut-thm4 benchmark workload, solved at the solver
+    # defaults; the iteration counts are those of the assembly that built M
+    # apart and copied it into K
     iters = []
     real = equivalence.solve
 
-    def counted(prog, settings):
+    def counted(prog, settings=None):
         sol = real(prog, settings)
         iters.append(sol.iters)
         return sol
@@ -532,7 +573,7 @@ def test_maxcut_thm4_graph_keeps_verdict_and_iterations(monkeypatch):
     monkeypatch.setattr(equivalence, "solve", counted)
     rep = equivalence.verify_theorem4(random_graph(40, seed=24, density=0.6))
     assert rep.verdict == "pass"
-    assert iters == [13, 14]
+    assert iters == [14, 16]
 
 
 def count_congruence_calls(monkeypatch):
