@@ -4,7 +4,8 @@ Subcommands: gen, solve, compare, verify, oracle, maxcut, profile.
 
 Exit codes: 0 success; 1 verification failed; 2 usage or malformed input;
 3 solve ended Unbounded/Infeasible (certificate summary still printed);
-4 output I/O failure; 5 numerical failure; 6 verification not applicable.
+4 output I/O failure; 5 solve ended NumericalTrouble or IterationLimit;
+6 verification not applicable.  compare exits with its solves' largest code.
 The default solver tolerance can be overridden with the BQRELAX_TOL
 environment variable or the --tol flag.  verify's --tol is the equivalence
 tolerance (default 1e-6), not the solver's; one that is not positive exits 2.
@@ -95,6 +96,10 @@ def _solve_one(args, data, builders, what) -> int:
     else:  # Unbounded / Infeasible
         report["certificate"] = {"kind": sol.ray.kind, "verified": cert.ok}
     print(json.dumps(report, sort_keys=True))
+    return _exit_code(sol)
+
+
+def _exit_code(sol) -> int:
     if sol.status == solver.STATUS_OPTIMAL:
         return EXIT_OK
     if sol.status in (solver.STATUS_UNBOUNDED, solver.STATUS_INFEASIBLE):
@@ -124,8 +129,7 @@ def cmd_compare(args) -> int:
             instance_id=inst.name, method=m, status=sol.status,
             bound=bench.certified_bound(prog, sol), iters=sol.iters,
             wall_time=sol.solve_time, seed=0))
-        if sol.status == solver.STATUS_NUMERICAL_TROUBLE:
-            worst = EXIT_NUMERICAL
+        worst = max(worst, _exit_code(sol))
     print(f"{'method':8s} {'status':16s} {'bound':>18s} {'iters':>6s} {'time':>9s}")
     for r in records:
         bstr = f"{r.bound:18.8f}" if np.isfinite(r.bound) else f"{str(r.bound):>18s}"

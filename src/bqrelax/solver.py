@@ -52,14 +52,15 @@ numerical failure ends it as breakdown (see _iterate).
 
 Linear algebra per iteration: the KKT matrix is assembled in place in one
 buffer per solve, rows in the program's own order (see _SchurRows), and
-factored once by LU; 21 refined back-solves use the factors, and the
+factored once by LU; one back-solve gives the tau column, one each Newton
+direction and one each of its refinement passes (see direction()), and the
 step-length search uses the Cholesky factors of X and S that the NT scaling
 computed.  No factorization or solve checks for non-finite values.
-ConicSolution.stats counts the factorizations and both kinds of solves, and
-its stop_reason names the exit the solve took.  An empty block (no PSD block
-in an LP, no orthant, no free part) takes the same path as any other, as
-0 x 0 and length-0 arrays; only the PSD step length and the cone checks ask
-whether there is a PSD block.
+ConicSolution.stats counts the factorizations, both kinds of solves and the
+refinement passes; its stop_reason names the exit the solve took.  An empty
+block (no PSD block in an LP, no orthant, no free part) takes the same path
+as any other, as 0 x 0 and length-0 arrays; only the PSD step length and
+the cone checks ask whether there is a PSD block.
 """
 
 import dataclasses
@@ -88,6 +89,8 @@ RANK_RHS_MISMATCH = 1e-8
 FREE_DUAL_RESIDUAL_REL = 1e-7
 FRACTION_TO_BOUNDARY = 0.99
 KKT_REGULARIZATION = 1e-12
+REFINE_FRACTION = 0.1  # a direction is refined down to this fraction of tol_feas
+MAX_REFINEMENTS = 16  # refinement passes per direction, at most
 
 
 @dataclass
@@ -129,9 +132,8 @@ class RayCertificate:
     slack_nonneg: np.ndarray | None = None
 
 
-# counts kept in ConicSolution.stats: LU factorizations of the KKT matrix,
-# back-solves with those factors, and triangular solves of the PSD step length
-SOLVE_COUNTS = ("kkt_factorizations", "kkt_solves", "psd_step_solves")
+# the counts kept in ConicSolution.stats (see the module docstring)
+SOLVE_COUNTS = ("kkt_factorizations", "kkt_solves", "psd_step_solves", "refinements")
 
 
 def _zero_stats(stop_reason: str | None = None) -> dict:
@@ -670,22 +672,6 @@ def _inf_norm(*arrays):
     return max(vals) if vals else 0.0
 
 
-def _solve_refined(K: np.ndarray, lu, rhs: np.ndarray, stats: dict, rounds: int = 2) -> np.ndarray:
-    """LU solve with iterative refinement; keeps direction accuracy near the
-    boundary where the scaled KKT matrix is severely ill-conditioned.  A
-    non-finite rhs gives a non-finite z, for _iterate's breakdown guard; no
-    solve checks for it."""
-    z = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-    stats["kkt_solves"] += 1
-    for _ in range(rounds):
-        err = rhs - K @ z
-        if not np.isfinite(err).all():
-            break
-        z = z + scipy.linalg.lu_solve(lu, err, check_finite=False)
-        stats["kkt_solves"] += 1
-    return z
-
-
 def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSolution:
     """Solve a standard-form conic program; see module docstring for semantics."""
     settings = settings or SolverSettings()
@@ -882,7 +868,8 @@ def _iterate(ws: _Workspace):
         u = Vz(c_ps) + ws.matvec(w2c)
         theta_c = float(c_ps @ c_ps + (w_nn * ws.c_nn) @ (w_nn * ws.c_nn))
         q = np.concatenate([ws.b - u, -ws.c_f])
-        z2 = _solve_refined(K, lu, np.concatenate([u + ws.b, -ws.c_f]), ws.stats)
+        z2 = scipy.linalg.lu_solve(lu, np.concatenate([u + ws.b, -ws.c_f]), check_finite=False)
+        ws.stats["kkt_solves"] += 1
         denom = theta_c + kappa / tau + float(q @ z2)
         # a non-finite K or rhs reaches here as a non-finite denom
         if not (mu > 0 and 0 < denom < np.inf):
@@ -906,7 +893,8 @@ def _iterate(ws: _Workspace):
                 r1 = r1 - (Vz(h) + ws.matvec(En / pt.s_nn))
                 r3 = r3 + float(c_ps @ h + ws.c_nn @ (En / pt.s_nn))
             r3 = r3 + cWt2
-            z1 = _solve_refined(K, lu, np.concatenate([r1, t2f]), ws.stats)
+            z1 = scipy.linalg.lu_solve(lu, np.concatenate([r1, t2f]), check_finite=False)
+            ws.stats["kkt_solves"] += 1
             dtau = (r3 - float(q @ z1)) / denom
             zz = z1 + dtau * z2
             dy = zz[:rows]
@@ -930,13 +918,20 @@ def _iterate(ws: _Workspace):
             En = sigma * mu - pt.x_nn * pt.s_nn - corr_nn
             Et = sigma * mu - tau * kappa - corr_tk
             dirn = newton(*t, Em, En, Et)
-            # outer refinement passes: the W-congruence reconstruction of dx
-            # amplifies rounding by ||W||, which otherwise floors the
-            # attainable primal residual near the boundary
-            for _ in range(2):
+            # refine while the residual, scaled as measures() scales the
+            # iterate's (times tau), is above REFINE_FRACTION of tol_feas and
+            # falls: rebuilding dx through W amplifies rounding by ||W||, which
+            # otherwise floors the attainable primal residual near the boundary
+            prev = np.inf
+            for _ in range(MAX_REFINEMENTS):
                 res_t = [a - b for a, b in zip(t, ws.hsd(dirn))]
-                corr = newton(*res_t)
-                dirn = dirn.step(1.0, corr)
+                err = max(_inf_norm(res_t[0]) / (1.0 + ws.bnorm),
+                          _inf_norm(*res_t[1:4]) / (1.0 + ws.cnorm))
+                if not REFINE_FRACTION * st.tol_feas * tau < err < prev:
+                    break
+                prev = err
+                ws.stats["refinements"] += 1
+                dirn = dirn.step(1.0, newton(*res_t))
             return dirn
 
         def max_step(v: _Point):
@@ -960,7 +955,8 @@ def _iterate(ws: _Workspace):
             return _stop(ws, "breakdown")
         a_aff = min(1.0, max_step(aff))
         mu_aff = pt.step(a_aff, aff).compl() / (ws.nu + 1)
-        sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
+        # capped before the cube, which overflows past a ratio of 1e102
+        sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
 
         # corrector terms from the affine direction
         dXt = RinvT.T @ smat(aff.x_psd) @ RinvT

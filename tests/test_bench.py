@@ -142,12 +142,12 @@ def test_run_suite_shapes_and_determinism():
 
 
 def test_run_suite_keeps_a_bound_when_the_solve_certifies():
-    # the status does not decide: a stall (the RdiBQP s33 dnnp solve leaves
+    # the status does not decide: a stall (the RdiBQP s35 dnnp solve leaves
     # the PSD cone) whose best iterate certifies at 1e-6 keeps its bound, and
     # an iteration-limit stop whose iterate does not certify gets NaN
-    (stall,) = run_suite("RdiBQP", 1, 12, 5, ["dnnp"], base_seed=32)
+    (stall,) = run_suite("RdiBQP", 1, 12, 5, ["dnnp"], base_seed=34)
     assert stall.status == "NumericalTrouble" and np.isfinite(stall.bound)
-    (cut,) = run_suite("RdiBQP", 1, 12, 5, ["dnnp"], base_seed=32,
+    (cut,) = run_suite("RdiBQP", 1, 12, 5, ["dnnp"], base_seed=34,
                        settings=SolverSettings(max_iters=2))
     assert cut.status == "IterationLimit" and np.isnan(cut.bound)
 

@@ -60,8 +60,9 @@ def test_solve_report_has_solve_counts(capsys):
     _, stdout, _ = run(capsys, "solve", TIGHT, "--relax", "sdr1")
     rep = json.loads(stdout)
     stats = rep["stats"]
-    assert set(stats) == {"kkt_factorizations", "kkt_solves", "psd_step_solves"}
+    assert set(stats) == {"kkt_factorizations", "kkt_solves", "psd_step_solves", "refinements"}
     assert stats["kkt_factorizations"] == rep["iters"] - 1
+    assert stats["kkt_solves"] == 3 * stats["kkt_factorizations"] + stats["refinements"]
     _, stdout, _ = run(capsys, "solve", TIGHT, "--relax", "sdr")
     assert set(json.loads(stdout)["stats"].values()) == {0}
 
@@ -72,7 +73,7 @@ def test_solve_report_has_stop_reason(tmp_path, capsys):
         assert json.loads(stdout)["stop_reason"] == reason
     # a stall of the bqp-desk benchmark: the iterate leaves the PSD cone
     inst = tmp_path / "rdi.json"
-    run(capsys, "gen", "--kind", "rdibqp", "--n", "12", "--m", "5", "--seed", "33",
+    run(capsys, "gen", "--kind", "rdibqp", "--n", "12", "--m", "5", "--seed", "35",
         "--out", str(inst))
     code, stdout, _ = run(capsys, "solve", str(inst), "--relax", "dnnp")
     assert code == 5
@@ -173,7 +174,17 @@ def test_compare_keeps_only_certified_bounds(capsys):
                           "--max-iters", "2")
     rows = [ln.split() for ln in stdout.splitlines() if ln.startswith(("sdr1", "sdr2", "dnnp"))]
     assert [(r[1], r[2]) for r in rows] == [("IterationLimit", "nan")] * 3
-    assert code == 0 and "bound ordering checks: ok" in stdout
+    assert code == 5 and "bound ordering checks: ok" in stdout
+
+
+def test_compare_exit_code_follows_the_solve_rule(capsys):
+    # each solve's code as `solve` gives it (0 Optimal, 3 a ray, 5 any other
+    # status); compare exits with the largest
+    for methods, max_iters, want in (("sdr1", "200", 0), ("sdr", "200", 3),
+                                     ("sdr1,sdr", "200", 3), ("sdr1", "2", 5),
+                                     ("sdr,sdr1", "2", 5)):
+        code, _, _ = run(capsys, "compare", TIGHT, "--relax", methods, "--max-iters", max_iters)
+        assert code == want, (methods, max_iters)
 
 
 def test_compare_unknown_tag_exit_2(capsys):

@@ -139,11 +139,14 @@ def test_stop_reason_names_the_exit(ex_tight):
         # only row is 0 x = 0 (dropped, so no row is left)
         (trace_over_psd_2x2(), SolverSettings(), STATUS_OPTIMAL, "optimal"),
         (lp([1.0, 2.0], [[0.0, 0.0]], [0.0]), SolverSettings(), STATUS_OPTIMAL, "optimal"),
-        # badly scaled but well posed: an objective entry of 1e50 converges,
-        # one of 1e130 gives a non-finite direction and one of 1e200 a
-        # non-finite KKT denominator
+        # badly scaled but well posed: objective entries of 1e50 and 1e130
+        # converge, and so does one of 1e150, whose mu_aff / mu passes 1e102
+        # (sigma cubes it only after the cap at 1); one of 1e145 gives a
+        # non-finite direction and one of 1e200 a non-finite KKT denominator
         (lp([1e50, 1.0], [[1.0, 1.0]], [1.0]), SolverSettings(), STATUS_OPTIMAL, "optimal"),
-        (lp([1e130, 1.0], [[1.0, 1.0]], [1.0]), SolverSettings(), STATUS_NUMERICAL_TROUBLE,
+        (lp([1e130, 1.0], [[1.0, 1.0]], [1.0]), SolverSettings(), STATUS_OPTIMAL, "optimal"),
+        (lp([1e150, 1.0], [[1.0, 1.0]], [1.0]), SolverSettings(), STATUS_OPTIMAL, "optimal"),
+        (lp([1e145, 1.0], [[1.0, 1.0]], [1.0]), SolverSettings(), STATUS_NUMERICAL_TROUBLE,
          "breakdown"),
         (lp([1e200, 1.0], [[1.0, 1.0]], [1.0]), SolverSettings(), STATUS_NUMERICAL_TROUBLE,
          "breakdown"),
@@ -177,7 +180,7 @@ def test_optimal_bounds_the_original_row_residual():
 
 def test_stop_reason_of_a_desk_stall():
     # a NumericalTrouble solve of the bqp-desk benchmark workload (seed 2)
-    prog = build_dnnp(generate_instance("RdiBQP", 12, 5, seed=33))[0]
+    prog = build_dnnp(generate_instance("RdiBQP", 12, 5, seed=35))[0]
     sol = solve(prog)
     assert sol.status == STATUS_NUMERICAL_TROUBLE
     # Cholesky rejects an iterate that has left the PSD cone, which ends the solve
@@ -188,6 +191,19 @@ def test_stop_reason_of_a_desk_stall():
     best = (sol.residuals[0], sol.residuals[1])
     logged = [(h.pres, h.dres) for h in sol.history]
     assert best in logged and best != logged[-1]
+
+
+@pytest.mark.parametrize("kind, seed, relax", [("RdiBQP", 33, build_dnnp),
+                                                ("RdnBQP", 64, build_sdr2)])
+def test_desk_solves_that_stalled_without_refinement_to_accuracy(kind, seed, relax):
+    # bqp-desk ops (seeds 2 and 4): s33 dnnp left the PSD cone under two fixed
+    # refinement passes, and s64 sdr2 left it without the passes' inner solves;
+    # refining each direction until it is accurate ends both Optimal
+    prog = relax(generate_instance(kind, 12, 5, seed=seed))[0]
+    sol = solve(prog)
+    assert (sol.status, sol.stats["stop_reason"]) == (STATUS_OPTIMAL, "optimal")
+    assert sol.stats["refinements"] > 0
+    assert certify(prog, sol, 1e-6).ok, certify(prog, sol, 1e-6).failed()
 
 
 @pytest.mark.parametrize("relax", [build_sdr1, build_sdr2, build_dnnp])
@@ -1025,17 +1041,6 @@ def test_row_storage_choice(name):
 
 # ------------------------------------------------------------ back-solves and their counts
 
-def solve_refined_scipy(K, lu, rhs, rounds=2):
-    """Refined LU solve through scipy.linalg.lu_solve: the reference."""
-    z = scipy.linalg.lu_solve(lu, rhs)
-    for _ in range(rounds):
-        err = rhs - K @ z
-        if not np.all(np.isfinite(err)):
-            break
-        z = z + scipy.linalg.lu_solve(lu, err)
-    return z
-
-
 def max_step_psd_recomputed(x_svec, dx_svec):
     """Step bound that refactors X and solves through scipy: the reference."""
     L = np.linalg.cholesky(smat(x_svec))
@@ -1047,46 +1052,6 @@ def max_step_psd_recomputed(x_svec, dx_svec):
 
 def zero_stats():
     return dict.fromkeys(solver.SOLVE_COUNTS, 0)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 9, 13, 60])
-def test_solve_refined_matches_scipy_lu_solve(n):
-    rng = np.random.default_rng(n)
-    for _ in range(5):
-        K = rng.standard_normal((n, n)) + n * np.eye(n)
-        lu = scipy.linalg.lu_factor(K)
-        rhs = rng.standard_normal(n)
-        stats = zero_stats()
-        got = solver._solve_refined(K, lu, rhs, stats)
-        assert got.shape == rhs.shape
-        np.testing.assert_array_equal(got, solve_refined_scipy(K, lu, rhs))
-        assert stats == {**zero_stats(), "kkt_solves": 3}
-
-
-def test_solve_refined_nonfinite_rhs_ends_in_breakdown(monkeypatch):
-    # no solve checks for non-finite values: a non-finite rhs gives a
-    # non-finite z, and the refinement stops at its non-finite residual
-    K = np.eye(3) + 0.1
-    lu = scipy.linalg.lu_factor(K)
-    for bad in (np.nan, np.inf):
-        stats = zero_stats()
-        with np.errstate(all="ignore"):
-            z = solver._solve_refined(K, lu, np.array([1.0, bad, 0.0]), stats)
-        assert not np.isfinite(z).all()
-        assert stats == {**zero_stats(), "kkt_solves": 1}
-    # in a solve, the non-finite z ends the loop at the breakdown guard
-    nonfinite = []
-
-    def recorded(K, lu, rhs, stats):
-        nonfinite.append(not np.isfinite(rhs).all())
-        return solve_refined(K, lu, rhs, stats)
-
-    solve_refined = solver._solve_refined
-    monkeypatch.setattr(solver, "_solve_refined", recorded)
-    with np.errstate(all="ignore"):
-        sol = solve(lp([1e130, 1.0], [[1.0, 1.0]], [1.0]))
-    assert (sol.status, sol.stats["stop_reason"]) == (STATUS_NUMERICAL_TROUBLE, "breakdown")
-    assert any(nonfinite) and not nonfinite[0]
 
 
 def random_psd_svec(rng, d, rank=None):
@@ -1124,8 +1089,9 @@ def test_solve_counts_on_a_face_reduced_solve():
     assert sol.status == STATUS_OPTIMAL
     factorizations = sol.stats["kkt_factorizations"]
     assert factorizations == sol.iters - 1
-    # three refined solves for the tau column, nine per direction, two directions
-    assert sol.stats["kkt_solves"] == 21 * factorizations
+    # one solve for the tau column and one per direction, two directions, and
+    # one per refinement pass
+    assert sol.stats["kkt_solves"] == 3 * factorizations + sol.stats["refinements"]
     # two triangular solves per cone, two cones, two step-length searches
     assert sol.stats["psd_step_solves"] == 8 * factorizations
 
@@ -1133,9 +1099,11 @@ def test_solve_counts_on_a_face_reduced_solve():
 def test_solve_counts_on_a_direct_solve_and_a_short_circuit(ex_tight):
     sol = solve(build_mc_sdr(random_graph(12, seed=2, density=0.5))[0])
     assert sol.status == STATUS_OPTIMAL
+    refinements = sol.stats["refinements"]
     assert sol.stats == {"kkt_factorizations": sol.iters - 1,
-                         "kkt_solves": 21 * (sol.iters - 1),
+                         "kkt_solves": 3 * (sol.iters - 1) + refinements,
                          "psd_step_solves": 8 * (sol.iters - 1),
+                         "refinements": refinements,
                          "stop_reason": "optimal"}
     sol = solve(build_sdr(ex_tight)[0])
     assert sol.status == STATUS_UNBOUNDED and sol.iters == 0
