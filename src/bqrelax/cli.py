@@ -88,7 +88,7 @@ def _solve_one(args, data, builders, what) -> int:
         "iters": sol.iters,
         "time": sol.solve_time,
         "stop_reason": sol.stats["stop_reason"],
-        "stats": {k: sol.stats[k] for k in solver.SOLVE_COUNTS},
+        "stats": {k: sol.stats[k] for k in (*solver.SOLVE_COUNTS, "min_step")},
         "certified": cert.ok,
     }
     if sol.ray is None:

@@ -47,20 +47,23 @@ iteration limit returns the best iterate seen, untouched (kept by reference).
 Whether the iterate is in the cone is decided by the Cholesky factors of X
 and S that the NT scaling computes: when either fails, the iterate has left
 the cone and the solve ends there (stop_reason left_cone); nothing is
-repaired, so the PSD step length always bounds the true X and S.  Any other
-numerical failure ends it as breakdown (see _iterate).
+repaired.  Any other numerical failure ends it as breakdown (see _iterate).
 
 Linear algebra per iteration: the KKT matrix is assembled in place in one
 buffer per solve, rows in the program's own order (see _SchurRows), and
 factored once by LU; one back-solve gives the tau column, one each Newton
-direction and one each of its refinement passes (see direction()), and the
-step-length search uses the Cholesky factors of X and S that the NT scaling
-computed.  No factorization or solve checks for non-finite values.
-ConicSolution.stats counts the factorizations, both kinds of solves and the
-refinement passes; its stop_reason names the exit the solve took.  An empty
-block (no PSD block in an LP, no orthant, no free part) takes the same path
-as any other, as 0 x 0 and length-0 arrays; only the PSD step length and
-the cone checks ask whether there is a PSD block.
+direction and one each of its refinement passes (see direction()).  The PSD
+step lengths and the corrector take the directions in NT-scaled form,
+dX~ = R^{-1} dX R^{-T} and dS~ = R^T dS R, as newton forms them: one
+eigvalsh per cone against diag(lam), and no triangular solve.  The step
+bounds the scaled direction; dX as rounded back through R can still leave
+the cone near its boundary, which the next Cholesky catches.  No
+factorization or solve checks for non-finite values.  ConicSolution.stats
+counts the factorizations, the solves and the refinement passes, keeps the
+smallest step length taken (min_step) and names the exit (stop_reason).
+An empty block (no PSD block in an LP, no orthant, no free part) takes the
+same path as any other, as 0 x 0 and length-0 arrays; only the PSD step
+length and the cone checks ask whether there is a PSD block.
 """
 
 import dataclasses
@@ -133,14 +136,15 @@ class RayCertificate:
 
 
 # the counts kept in ConicSolution.stats (see the module docstring)
-SOLVE_COUNTS = ("kkt_factorizations", "kkt_solves", "psd_step_solves", "refinements")
+SOLVE_COUNTS = ("kkt_factorizations", "kkt_solves", "refinements")
 
 
 def _zero_stats(stop_reason: str | None = None) -> dict:
-    """ConicSolution.stats before any work: zero counts and why the solve
-    ended (one of the five stops of _iterate, or presolve_infeasible /
-    presolve_unbounded)."""
-    return {**dict.fromkeys(SOLVE_COUNTS, 0), "stop_reason": stop_reason}
+    """ConicSolution.stats before any work: zero counts, no step taken
+    (min_step, the smallest step length applied to the iterate, is None) and
+    why the solve ended (one of the five stops of _iterate, or
+    presolve_infeasible / presolve_unbounded)."""
+    return {**dict.fromkeys(SOLVE_COUNTS, 0), "min_step": None, "stop_reason": stop_reason}
 
 
 @dataclass
@@ -190,13 +194,18 @@ def _row_scan(prog: ConicProgram, floor: float | None = None):
     row-major order, the nonzeros of the rows (with a floor: of the rows over
     max(norm, floor)).  The rows are stacked a bounded block at a time; a
     norm sums its own row only, so each is bit-for-bit that of the whole stack.
+    A row whose squares overflow (a coefficient near 1e160) is summed by
+    hypot instead, so its norm stays finite; every other norm keeps its bits.
     """
     cols = prog.G_psd.shape[1] + prog.nonneg_count + prog.free_count
     step = max(1, _CHUNK // max(1, cols))
     norms, parts = [], []
     for i in range(0, max(prog.n_rows, 1), step):  # one empty block without rows
         B = _stack_rows(prog, slice(i, i + step))
-        norms.append(np.linalg.norm(B, axis=1))
+        with np.errstate(over="ignore"):  # where the squares overflow, hypot scales
+            norms.append(np.linalg.norm(B, axis=1))
+        big = np.isinf(norms[-1])
+        norms[-1][big] = np.hypot.reduce(B[big], axis=1)
         if floor is not None:
             B /= np.maximum(norms[-1], floor)[:, None]
         r, c, v = _coo(B)
@@ -319,28 +328,23 @@ def _keep_rows(prog: ConicProgram, kept: list) -> ConicProgram:
 
 
 def _nt_scaling(X: np.ndarray, S: np.ndarray):
-    """Nesterov-Todd scaling point: returns (R, R^{-T}, lam, Lx, Ls) with
-    R^{-1} X R^{-T} = R^T S R = diag(lam) and the Cholesky factors
-    X = Lx Lx^T, S = Ls Ls^T it is built from.  An X or S outside the
-    interior of the cone raises np.linalg.LinAlgError."""
+    """Nesterov-Todd scaling point: returns (R, lam) with
+    R^{-1} X R^{-T} = R^T S R = diag(lam), from the Cholesky factors of X
+    and S.  An X or S outside the interior of the cone raises
+    np.linalg.LinAlgError."""
     Lx = np.linalg.cholesky(X)
     Ls = np.linalg.cholesky(S)
     U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
     sig = np.maximum(sig, 1e-150)
-    inv_sqrt = 1.0 / np.sqrt(sig)
-    R = Lx @ Vt.T * inv_sqrt
-    RinvT = Ls @ U * inv_sqrt
-    return R, RinvT, sig, Lx, Ls
+    return Lx @ Vt.T * (1.0 / np.sqrt(sig)), sig
 
 
-def _max_step_psd(L: np.ndarray, dx_svec: np.ndarray) -> float:
-    """Largest alpha with X + alpha dX >= 0 for X = L L^T (Cholesky-transformed
-    eigen bound).  L is the iterate's factor from _nt_scaling, and dx_svec is
-    finite because non-finite directions are rejected before the step, so the
-    solves skip the finiteness check."""
-    dX = smat(dx_svec)
-    T = scipy.linalg.solve_triangular(L, dX, lower=True, check_finite=False)
-    T = scipy.linalg.solve_triangular(L, T.T, lower=True, check_finite=False)
+def _max_step_scaled(lam: np.ndarray, dT: np.ndarray) -> float:
+    """Largest alpha with diag(lam) + alpha dT >= 0, for a direction dT in
+    NT-scaled form (X + alpha dX = R (diag(lam) + alpha dX~) R^T, and the
+    same for S): the smallest eigenvalue of lam^{-1/2} dT lam^{-1/2}."""
+    isq = 1.0 / np.sqrt(lam)
+    T = dT * np.outer(isq, isq)
     lam_min = np.linalg.eigvalsh(0.5 * (T + T.T))[0]
     return np.inf if lam_min >= 0 else 1.0 / (-lam_min)
 
@@ -534,8 +538,9 @@ class _Point(NamedTuple):
         """x.s + tau kappa."""
         return float(self.x_psd @ self.s_psd + self.x_nn @ self.s_nn) + self.tau * self.kappa
 
-    def finite(self) -> bool:
-        return all(np.isfinite(v).all() for v in self)
+    def finite(self, *more: np.ndarray) -> bool:
+        """Whether every block, and every array in more, is finite."""
+        return all(np.isfinite(v).all() for v in (*self, *more))
 
 
 class _Workspace:
@@ -853,7 +858,7 @@ def _iterate(ws: _Workspace):
 
         # Nesterov-Todd scalings; an X or S that Cholesky rejects has left the cone
         try:
-            R, RinvT, lam, Lx, Ls = _nt_scaling(smat(pt.x_psd), smat(pt.s_psd))
+            R, lam = _nt_scaling(smat(pt.x_psd), smat(pt.s_psd))
         except np.linalg.LinAlgError:
             return _stop(ws, "left_cone")
         c_ps = svec(R.T @ smat(ws.c_psd) @ R)
@@ -881,7 +886,9 @@ def _iterate(ws: _Workspace):
             """Solve one linearized HSD system, hsd(d)[:5] = (t1, t2p, t2n, t2f, t3):
             G dx - b dtau = t1;  -G^T dy + c dtau - ds = t2 (free rows: no ds);
             b^T dy - c^T dx - dkappa = t3;  scaled complementarities = (Em, En, Et).
-            Em and En left out are zero, and their terms are skipped.
+            Em and En left out are zero, and their terms are skipped.  Returns
+            the direction and its PSD blocks in NT-scaled form,
+            dX~ = R^{-1} dX R^{-T} and dS~ = R^T dS R.
             """
             t2s = svec(R.T @ smat(t2p) @ R)
             Wt2 = Vz(t2s) + ws.matvec(w2 * t2n)
@@ -902,14 +909,13 @@ def _iterate(ws: _Workspace):
             gp, gn, _ = ws.rmatvec(dy, free=False)
             arg_psd = gp - ws.c_psd * dtau + t2p
             arg_nn = gn - ws.c_nn * dtau + t2n
-            ds_psd = -arg_psd
-            ds_nn = -arg_nn
-            dx_psd, dx_nn = R.T @ smat(arg_psd) @ R, w2 * arg_nn
+            dSt = -(R.T @ smat(arg_psd) @ R)
+            dXt, dx_nn = -dSt, w2 * arg_nn
             if Em is not None:
-                dx_psd, dx_nn = dx_psd + Hm, dx_nn + En / pt.s_nn
-            dx_psd = svec(R @ dx_psd @ R.T)
+                dXt, dx_nn = dXt + Hm, dx_nn + En / pt.s_nn
             dkappa = (Et - kappa * dtau) / tau
-            return _Point(dx_psd, dx_nn, dxf, dy, ds_psd, ds_nn, dtau, dkappa)
+            return (_Point(svec(R @ dXt @ R.T), dx_nn, dxf, dy, -arg_psd, -arg_nn, dtau, dkappa),
+                    dXt, dSt)
 
         def direction(sigma, corr_mat, corr_nn, corr_tk):
             eta = 1.0 - sigma
@@ -917,7 +923,7 @@ def _iterate(ws: _Workspace):
             Em = sigma * mu * np.eye(d) - np.diag(lam**2) - corr_mat
             En = sigma * mu - pt.x_nn * pt.s_nn - corr_nn
             Et = sigma * mu - tau * kappa - corr_tk
-            dirn = newton(*t, Em, En, Et)
+            dirn, dXt, dSt = newton(*t, Em, En, Et)
             # refine while the residual, scaled as measures() scales the
             # iterate's (times tau), is above REFINE_FRACTION of tol_feas and
             # falls: rebuilding dx through W amplifies rounding by ||W||, which
@@ -931,45 +937,39 @@ def _iterate(ws: _Workspace):
                     break
                 prev = err
                 ws.stats["refinements"] += 1
-                dirn = dirn.step(1.0, newton(*res_t))
-            return dirn
+                corr, cXt, cSt = newton(*res_t)
+                dirn, dXt, dSt = dirn.step(1.0, corr), dXt + cXt, dSt + cSt
+            return dirn, dXt, dSt
 
-        def max_step(v: _Point):
-            alpha = min(
-                _max_step_scalar(tau, v.tau),
-                _max_step_scalar(kappa, v.kappa),
-            )
-            if d:
-                # the factors of this iterate's X and S, from the NT scaling
-                alpha = min(alpha, _max_step_psd(Lx, v.x_psd))
-                alpha = min(alpha, _max_step_psd(Ls, v.s_psd))
-                ws.stats["psd_step_solves"] += 4
-            if p:
-                alpha = min(alpha, _max_step_vec(pt.x_nn, v.x_nn))
-                alpha = min(alpha, _max_step_vec(pt.s_nn, v.s_nn))
+        def max_step(v: _Point, dXt, dSt):
+            alpha = min(_max_step_scalar(tau, v.tau), _max_step_scalar(kappa, v.kappa),
+                        _max_step_vec(pt.x_nn, v.x_nn), _max_step_vec(pt.s_nn, v.s_nn))
+            if d:  # in scaled form, where X~ = S~ = diag(lam)
+                alpha = min(alpha, _max_step_scaled(lam, dXt), _max_step_scaled(lam, dSt))
             return alpha
 
         # predictor
-        aff = direction(0.0, np.zeros((d, d)), np.zeros(p), 0.0)
-        if not aff.finite():
+        aff, dXt, dSt = direction(0.0, np.zeros((d, d)), np.zeros(p), 0.0)
+        if not aff.finite(dXt, dSt):
             return _stop(ws, "breakdown")
-        a_aff = min(1.0, max_step(aff))
+        a_aff = min(1.0, max_step(aff, dXt, dSt))
         mu_aff = pt.step(a_aff, aff).compl() / (ws.nu + 1)
         # capped before the cube, which overflows past a ratio of 1e102
         sigma = min(1.0, max(mu_aff, 0.0) / mu) ** 3
 
         # corrector terms from the affine direction
-        dXt = RinvT.T @ smat(aff.x_psd) @ RinvT
-        dSt = R.T @ smat(aff.s_psd) @ R
         corr_mat = 0.5 * (dXt @ dSt + dSt @ dXt)
         corr_nn = aff.x_nn * aff.s_nn
         corr_tk = aff.tau * aff.kappa
 
-        comb = direction(sigma, corr_mat, corr_nn, corr_tk)
-        if not comb.finite():
+        comb, dXt, dSt = direction(sigma, corr_mat, corr_nn, corr_tk)
+        if not comb.finite(dXt, dSt):
             return _stop(ws, "breakdown")
         # at most 0.99 of the step that takes tau or kappa to zero keeps both positive
-        ws.pt = pt.step(min(1.0, FRACTION_TO_BOUNDARY * max_step(comb)), comb)
+        alpha = float(min(1.0, FRACTION_TO_BOUNDARY * max_step(comb, dXt, dSt)))
+        if ws.stats["min_step"] is None or alpha < ws.stats["min_step"]:
+            ws.stats["min_step"] = alpha
+        ws.pt = pt.step(alpha, comb)
 
     return _stop(ws, "iteration_limit", STATUS_ITERATION_LIMIT)
 

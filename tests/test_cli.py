@@ -60,11 +60,14 @@ def test_solve_report_has_solve_counts(capsys):
     _, stdout, _ = run(capsys, "solve", TIGHT, "--relax", "sdr1")
     rep = json.loads(stdout)
     stats = rep["stats"]
-    assert set(stats) == {"kkt_factorizations", "kkt_solves", "psd_step_solves", "refinements"}
+    assert set(stats) == {"kkt_factorizations", "kkt_solves", "refinements", "min_step"}
     assert stats["kkt_factorizations"] == rep["iters"] - 1
     assert stats["kkt_solves"] == 3 * stats["kkt_factorizations"] + stats["refinements"]
+    assert 0 < stats["min_step"] <= 1
+    # a presolve short-circuit takes no step: zero counts and a null min_step
     _, stdout, _ = run(capsys, "solve", TIGHT, "--relax", "sdr")
-    assert set(json.loads(stdout)["stats"].values()) == {0}
+    assert json.loads(stdout)["stats"] == {"kkt_factorizations": 0, "kkt_solves": 0,
+                                           "refinements": 0, "min_step": None}
 
 
 def test_solve_report_has_stop_reason(tmp_path, capsys):

@@ -170,9 +170,11 @@ def test_stop_reason_names_the_exit(ex_tight):
 
 @pytest.mark.xfail(strict=True,
                    reason="the stopping test bounds the residual of the normalized rows "
-                          "only: x1 + 1e10 x2 = 1 ends Optimal with primal_rows 0.74")
-def test_optimal_bounds_the_original_row_residual():
-    prog = lp([1.0, 2.0], [[1.0, 1e10]], [1.0])
+                          "only: x1 + 1e10 x2 = 1 ends Optimal with primal_rows 0.74, "
+                          "and 1e160 to 1e300 with primal_rows above 1e149")
+@pytest.mark.parametrize("big", [1e10, 1e160, 1e200, 1e300])
+def test_optimal_bounds_the_original_row_residual(big):
+    prog = lp([1.0, 2.0], [[1.0, big]], [1.0])
     sol = solve(prog)
     assert sol.status == STATUS_OPTIMAL
     assert certify(prog, sol, 1e-6).ok, certify(prog, sol, 1e-6).failed()
@@ -725,6 +727,18 @@ def test_row_blocks_match_the_whole_stack(monkeypatch, name):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("big", [1e160, 1e200, 1e300])
+def test_presolve_keeps_a_row_whose_squares_overflow(big):
+    # the sum of squares of x1 + big x2 = 1 overflows; the row's norm stays
+    # finite, so presolve keeps the feasible row instead of calling it a zero
+    # row with rhs 1 (Infeasible)
+    prog = lp([1.0, 2.0], [[1.0, big]], [1.0])
+    norms, _ = solver._row_scan(prog)
+    assert norms.tolist() == [big]
+    pre = presolve_rank_check(prog)
+    assert (pre.infeasible, pre.dropped_rows, pre.program) == (False, [], prog)
+
+
 def copied_kkt(ws, R, w2):
     """The KKT matrix built the earlier way: M assembled on its own, copied
     into a zeroed K, the regularization taken from np.abs(M)."""
@@ -1059,20 +1073,30 @@ def random_psd_svec(rng, d, rank=None):
     return svec(A @ A.T + (1e-3 * np.eye(d) if rank is None else 0.0))
 
 
-@pytest.mark.parametrize("d", [1, 2, 5, 13, 40])
-def test_max_step_psd_reuses_the_nt_factor(d):
+@pytest.mark.parametrize("d", [1, 2, 5, 13, 41])
+def test_max_step_scaled_matches_the_cholesky_step(d):
+    # the step in NT-scaled form, X~ = S~ = diag(lam), against the step that
+    # refactors X (or S) and solves through it
     rng = np.random.default_rng(d)
     x, s = random_psd_svec(rng, d), random_psd_svec(rng, d)
-    _, _, _, Lx, Ls = solver._nt_scaling(smat(x), smat(s))
-    np.testing.assert_array_equal(Lx, np.linalg.cholesky(smat(x)))
-    np.testing.assert_array_equal(Ls, np.linalg.cholesky(smat(s)))
-    for L, v in ((Lx, x), (Ls, s)):
-        for _ in range(3):
-            dx = rng.standard_normal(v.size)
-            assert solver._max_step_psd(L, dx) == max_step_psd_recomputed(v, dx)
-        dx = random_psd_svec(rng, d)  # an ascent direction
-        assert solver._max_step_psd(L, dx) == max_step_psd_recomputed(v, dx)
-    assert solver._max_step_psd(Ls, s) == np.inf
+    R, lam = solver._nt_scaling(smat(x), smat(s))
+    np.testing.assert_allclose(np.linalg.solve(R, np.linalg.solve(R, smat(x)).T), np.diag(lam),
+                               atol=1e-9 * lam.max())
+    np.testing.assert_allclose(R.T @ smat(s) @ R, np.diag(lam), atol=1e-9 * lam.max())
+    for ascent in (False, False, False, True):
+        # dX from its scaled form, as newton builds it, and dS~ from dS; an
+        # ascent direction meets no boundary
+        At = rng.standard_normal((d, d))
+        dXt = At @ At.T if ascent else At + At.T
+        ds = random_psd_svec(rng, d) if ascent else rng.standard_normal(x.size)
+        for step, v, dv in ((solver._max_step_scaled(lam, dXt), x, svec(R @ dXt @ R.T)),
+                            (solver._max_step_scaled(lam, R.T @ smat(ds) @ R), s, ds)):
+            ref = max_step_psd_recomputed(v, dv)
+            if ascent:
+                assert step == ref == np.inf
+            else:
+                assert step == pytest.approx(ref, rel=1e-9)
+    assert solver._max_step_scaled(lam, np.diag(lam)) == np.inf
     # an X with a zero row and column is on the cone's boundary (its last
     # Cholesky pivot is exactly 0): the NT scaling refuses it, as it does S
     X = smat(x)
@@ -1080,6 +1104,28 @@ def test_max_step_psd_reuses_the_nt_factor(d):
     for args in ((X, smat(s)), (smat(s), X)):
         with pytest.raises(np.linalg.LinAlgError):
             solver._nt_scaling(*args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_scaling_ends_in_breakdown(monkeypatch, bad):
+    # a non-finite lam at the third iteration makes the scaled direction
+    # non-finite: the loop stops there instead of raising
+    calls = []
+
+    def scaling(X, S, _nt=solver._nt_scaling):
+        R, lam = _nt(X, S)
+        calls.append(1)
+        if len(calls) == 3:
+            lam = np.r_[bad, lam[1:]]
+        return R, lam
+
+    monkeypatch.setattr(solver, "_nt_scaling", scaling)
+    with np.errstate(all="ignore"):
+        sol = solve(build_mc_sdr(random_graph(12, seed=2, density=0.5))[0])
+    assert (sol.status, sol.stats["stop_reason"], len(calls)) == (
+        STATUS_NUMERICAL_TROUBLE, "breakdown", 3)
+    # the two steps before it were taken
+    assert 0 < sol.stats["min_step"] <= 1
 
 
 def test_solve_counts_on_a_face_reduced_solve():
@@ -1092,8 +1138,8 @@ def test_solve_counts_on_a_face_reduced_solve():
     # one solve for the tau column and one per direction, two directions, and
     # one per refinement pass
     assert sol.stats["kkt_solves"] == 3 * factorizations + sol.stats["refinements"]
-    # two triangular solves per cone, two cones, two step-length searches
-    assert sol.stats["psd_step_solves"] == 8 * factorizations
+    # one step per iteration that computes a direction, each at most 1
+    assert 0 < sol.stats["min_step"] <= 1
 
 
 def test_solve_counts_on_a_direct_solve_and_a_short_circuit(ex_tight):
@@ -1102,17 +1148,19 @@ def test_solve_counts_on_a_direct_solve_and_a_short_circuit(ex_tight):
     refinements = sol.stats["refinements"]
     assert sol.stats == {"kkt_factorizations": sol.iters - 1,
                          "kkt_solves": 3 * (sol.iters - 1) + refinements,
-                         "psd_step_solves": 8 * (sol.iters - 1),
                          "refinements": refinements,
+                         "min_step": sol.stats["min_step"],
                          "stop_reason": "optimal"}
+    assert 0 < sol.stats["min_step"] <= 1
     sol = solve(build_sdr(ex_tight)[0])
     assert sol.status == STATUS_UNBOUNDED and sol.iters == 0
-    assert sol.stats == {**zero_stats(), "stop_reason": "presolve_unbounded"}
+    assert sol.stats == {**zero_stats(), "min_step": None, "stop_reason": "presolve_unbounded"}
 
 
 def test_solve_counts_are_the_scipy_linalg_calls(monkeypatch):
     """Every counted factorization and solve is a call of the scipy.linalg
-    function, so wrappers installed there (as a tracer does) see them all."""
+    function, so wrappers installed there (as a tracer does) see them all.
+    The step lengths are taken in scaled form: no triangular solve."""
     calls = dict.fromkeys(("lu_factor", "lu_solve", "solve_triangular"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(scipy.linalg, name), **kwargs):
@@ -1121,7 +1169,7 @@ def test_solve_counts_are_the_scipy_linalg_calls(monkeypatch):
         monkeypatch.setattr(scipy.linalg, name, counted)
     prog, _ = build_sdr1(generate_instance("RdBQP", 12, 5, seed=1))
     sol = solve(prog)
-    assert sol.stats["kkt_solves"] > 0 and sol.stats["psd_step_solves"] > 0
+    assert sol.stats["kkt_solves"] > 0
     assert calls == {"lu_factor": sol.stats["kkt_factorizations"],
                      "lu_solve": sol.stats["kkt_solves"],
-                     "solve_triangular": sol.stats["psd_step_solves"]}
+                     "solve_triangular": 0}
