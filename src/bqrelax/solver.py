@@ -50,17 +50,22 @@ the cone and the solve ends there (stop_reason left_cone); nothing is
 repaired.  Any other numerical failure ends it as breakdown (see _iterate).
 
 Linear algebra per iteration: the KKT matrix is assembled in place in one
-buffer per solve, rows in the program's own order (see _SchurRows), and
-factored once by LU; one back-solve gives the tau column, one each Newton
-direction and one each of its refinement passes (see direction()).  The PSD
-step lengths and the corrector take the directions in NT-scaled form,
-dX~ = R^{-1} dX R^{-T} and dS~ = R^T dS R, as newton forms them: one
-eigvalsh per cone against diag(lam), and no triangular solve.  The step
-bounds the scaled direction; dX as rounded back through R can still leave
-the cone near its boundary, which the next Cholesky catches.  No
-factorization or solve checks for non-finite values.  ConicSolution.stats
-counts the factorizations, the solves and the refinement passes, keeps the
-smallest step length taken (min_step) and names the exit (stop_reason).
+buffer per solve, rows in the program's own order (see _SchurRows), its
+sparse-row blocks gathered a bounded number of rows at a time; the free
+block enters as the symmetric saddle [[M + reg I, Gf], [Gf^T, -reg I]], with
+the free rows of each right-hand side negated.  K is factored once by LU in
+place, through its transposed (Fortran-ordered) view, which is K itself up
+to the rounding of the Schur block; one back-solve gives the tau column,
+one each Newton direction and one each of its refinement passes (see
+direction()).  The PSD step lengths and the corrector take the directions
+in NT-scaled form, dX~ = R^{-1} dX R^{-T} and dS~ = R^T dS R, as newton
+forms them: one eigvalsh per cone against diag(lam), and no triangular
+solve.  The step bounds the scaled direction; dX as rounded back through R
+can still leave the cone near its boundary, which the next Cholesky
+catches.  No factorization or solve checks for non-finite values.
+ConicSolution.stats counts the factorizations, the solves and the
+refinement passes, keeps the smallest step length taken (min_step) and
+names the exit (stop_reason).
 An empty block (no PSD block in an LP, no orthant, no free part) takes the
 same path as any other, as 0 x 0 and length-0 arrays; only the PSD step
 length and the cone checks ask whether there is a PSD block.
@@ -173,9 +178,10 @@ class PresolveResult:
     dropped_rows: list
     infeasible: bool = False
     farkas_y: np.ndarray | None = None
+    scan: tuple | None = None  # _row_scan of program, when every row is kept
 
 
-_CHUNK = 1 << 17  # entries of the stacked rows formed at once
+_CHUNK = 1 << 17  # entries formed at once, of the stacked rows or of a Schur block
 
 
 def _stack_rows(prog: ConicProgram, idx) -> np.ndarray:
@@ -189,11 +195,11 @@ def _coo(G: np.ndarray) -> tuple:
     return r, c, G[r, c]
 
 
-def _row_scan(prog: ConicProgram, floor: float | None = None):
+def _row_scan(prog: ConicProgram):
     """(norms, (rows, cols, values)): the norms of the stacked rows and, in
-    row-major order, the nonzeros of the rows (with a floor: of the rows over
-    max(norm, floor)).  The rows are stacked a bounded block at a time; a
-    norm sums its own row only, so each is bit-for-bit that of the whole stack.
+    row-major order, their nonzeros.  The rows are stacked a bounded block at
+    a time; a norm sums its own row only, so each is bit-for-bit that of the
+    whole stack.
     A row whose squares overflow (a coefficient near 1e160) is summed by
     hypot instead, so its norm stays finite; every other norm keeps its bits.
     """
@@ -206,8 +212,6 @@ def _row_scan(prog: ConicProgram, floor: float | None = None):
             norms.append(np.linalg.norm(B, axis=1))
         big = np.isinf(norms[-1])
         norms[-1][big] = np.hypot.reduce(B[big], axis=1)
-        if floor is not None:
-            B /= np.maximum(norms[-1], floor)[:, None]
         r, c, v = _coo(B)
         parts.append((r + i, c, v))
     return np.concatenate(norms), tuple(np.concatenate(a) for a in zip(*parts))
@@ -223,7 +227,8 @@ def presolve_rank_check(prog: ConicProgram, quiet: bool = False) -> PresolveResu
     1e-10 * ||row k||.  A dependent row whose rhs disagrees with the implied
     combination of kept rows by more than 1e-8 (relative) makes the program
     Infeasible; the combination is returned as an exact Farkas certificate.
-    Rows are stacked only for the QR and the combination.
+    Rows are stacked only for the QR and the combination.  When every row
+    is kept, the result carries the row scan for the solve's workspace.
     """
     rows = prog.n_rows
     if rows == 0:
@@ -264,7 +269,7 @@ def presolve_rank_check(prog: ConicProgram, quiet: bool = False) -> PresolveResu
     kept.sort()
     dropped = sorted(dependent + zero_rows)
     if not dropped:
-        return PresolveResult(program=prog, dropped_rows=[])
+        return PresolveResult(program=prog, dropped_rows=[], scan=(norms, (r, c, v)))
 
     bk = prog.rhs[kept]
     # zero rows were consistency-checked above
@@ -393,16 +398,21 @@ def _block(r, c):
 def _pair(W: np.ndarray, s: _Slot, q: _Slot, out=None) -> np.ndarray:
     """Block s x q of V V^T from W = R R^T by the sparse-row rule:
     c_s c_q^T o (W[a_s, a_q] o W[b_s, b_q] + W[a_s, b_q] o W[b_s, a_q]),
-    gathered as whole rows of the column slices W[:, a_q], W[:, b_q]."""
+    gathered as whole rows of the column slices W[:, a_q], W[:, b_q], about
+    _CHUNK entries at a time, straight into out (a new block when None)."""
     Wa, Wb = W[:, q.a], W[:, q.b]
-    B = np.take(Wa, s.a, axis=0, out=out, mode="clip")
-    B *= Wb[s.b]
-    Z = Wb[s.a]
-    Z *= Wa[s.b]
-    B += Z
-    B *= s.c[:, None]
-    B *= q.c
-    return B
+    out = np.empty((s.a.size, q.a.size)) if out is None else out
+    step = max(1, _CHUNK // q.a.size)  # a slot has at least one row
+    for i in range(0, s.a.size, step):
+        j = slice(i, i + step)
+        B = np.take(Wa, s.a[j], axis=0, out=out[j], mode="clip")
+        B *= Wb[s.b[j]]
+        Z = Wb[s.a[j]]
+        Z *= Wa[s.b[j]]
+        B += Z
+        B *= s.c[j, None]
+        B *= q.c
+    return out
 
 
 class _SchurRows:
@@ -553,7 +563,7 @@ class _Workspace:
     can degrade after the achievable floor is reached.
     """
 
-    def __init__(self, prog: ConicProgram, settings: SolverSettings):
+    def __init__(self, prog: ConicProgram, settings: SolverSettings, scan: tuple | None = None):
         self.settings = settings
         self.sense_sign = 1.0 if prog.sense == "min" else -1.0
         self.offset = prog.offset
@@ -563,9 +573,12 @@ class _Workspace:
         self.c_psd = self.sense_sign * prog.obj_psd
         self.c_nn = self.sense_sign * prog.obj_nonneg
         self.c_f = self.sense_sign * prog.obj_free
-        # row normalization for conditioning; duals are rescaled on report
-        norms, (r, c, v) = _row_scan(prog, floor=1e-12)
+        # row normalization for conditioning; duals are rescaled on report.
+        # scan: presolve's _row_scan of prog, when it has made one
+        norms, (r, c, v) = scan or _row_scan(prog)
         self.row_scale = np.maximum(norms, 1e-12)
+        v = v / self.row_scale[r]
+        self.triples = r, c, v  # the nonzeros of the normalized rows
         self.Gf = prog.G_free / self.row_scale[:, None]
         self.b = prog.rhs / self.row_scale
         self.rows = prog.n_rows
@@ -586,11 +599,8 @@ class _Workspace:
         self.Gp = prog.G_psd / self.row_scale[:, None] if dense else None
         self.Gn = prog.G_nonneg / self.row_scale[:, None] if dense else None
         self.schur = _SchurRows(prog, self.row_scale, Gp_coo, Gn_coo, self.Gp)
-        # the KKT matrix [[M + reg I, Gf], [-Gf^T, reg I]], rows in the
-        # program's order; only M and the regularization change per iteration
-        self.K = np.zeros((self.rows + self.f, self.rows + self.f))
-        self.K[:self.rows, self.rows:] = self.Gf
-        self.K[self.rows:, :self.rows] = -self.Gf.T
+        # the KKT buffer, rows in the program's order (see kkt)
+        self.K = np.empty((self.rows + self.f, self.rows + self.f))
 
         self.pt = _Point(svec(np.eye(self.d)), np.ones(self.p), np.zeros(self.f),
                          np.zeros(self.rows), svec(np.eye(self.d)), np.ones(self.p), 1.0, 1.0)
@@ -610,14 +620,17 @@ class _Workspace:
 
     def kkt(self, R: np.ndarray, w2: np.ndarray):
         """(K, Vz): the KKT matrix at scaling R and orthant weights w2,
-        assembled in place in self.K, and the map z -> V z."""
+        assembled in place in self.K as the symmetric saddle
+        [[M + reg I, Gf], [Gf^T, -reg I]], and the map z -> V z.  Every entry
+        is written, since the factorization overwrites K."""
         K, rows = self.K, self.rows
         M = K[:rows, :rows]
         Vz = self.schur.assemble(M, R, w2)
         reg = KKT_REGULARIZATION * max(1.0, max(M.max(), -M.min()) if rows else 1.0)
+        K[:rows, rows:], K[rows:, :rows], K[rows:, rows:] = self.Gf, self.Gf.T, 0.0
         diag = K.reshape(-1)[::K.shape[0] + 1]
         diag[:rows] += reg
-        diag[rows:] = reg
+        diag[rows:] = -reg
         return K, Vz
 
     # -- products with the normalized rows -----------------------------
@@ -702,7 +715,7 @@ def _solve_direct(prog: ConicProgram, settings: SolverSettings,
         return _short_circuit(prog, STATUS_UNBOUNDED, ray, "presolve_unbounded",
                               -np.inf if prog.sense == "min" else np.inf, pre.dropped_rows)
 
-    ws = _Workspace(work_prog, settings)
+    ws = _Workspace(work_prog, settings, pre.scan)
     status, ray_cert = _iterate(ws)
     return _assemble(prog, pre, ws, status, ray_cert)
 
@@ -867,13 +880,14 @@ def _iterate(ws: _Workspace):
 
         K, Vz = ws.kkt(R, w2)
         ws.stats["kkt_factorizations"] += 1
-        lu = scipy.linalg.lu_factor(K, check_finite=False)
+        # in place: LAPACK reads the C-ordered K as K^T, which is K to rounding
+        lu = scipy.linalg.lu_factor(K.T, overwrite_a=True, check_finite=False)
 
         w2c = w2 * ws.c_nn
         u = Vz(c_ps) + ws.matvec(w2c)
         theta_c = float(c_ps @ c_ps + (w_nn * ws.c_nn) @ (w_nn * ws.c_nn))
         q = np.concatenate([ws.b - u, -ws.c_f])
-        z2 = scipy.linalg.lu_solve(lu, np.concatenate([u + ws.b, -ws.c_f]), check_finite=False)
+        z2 = scipy.linalg.lu_solve(lu, np.concatenate([u + ws.b, ws.c_f]), check_finite=False)
         ws.stats["kkt_solves"] += 1
         denom = theta_c + kappa / tau + float(q @ z2)
         # a non-finite K or rhs reaches here as a non-finite denom
@@ -900,7 +914,7 @@ def _iterate(ws: _Workspace):
                 r1 = r1 - (Vz(h) + ws.matvec(En / pt.s_nn))
                 r3 = r3 + float(c_ps @ h + ws.c_nn @ (En / pt.s_nn))
             r3 = r3 + cWt2
-            z1 = scipy.linalg.lu_solve(lu, np.concatenate([r1, t2f]), check_finite=False)
+            z1 = scipy.linalg.lu_solve(lu, np.concatenate([r1, -t2f]), check_finite=False)
             ws.stats["kkt_solves"] += 1
             dtau = (r3 - float(q @ z1)) / denom
             zz = z1 + dtau * z2

@@ -569,11 +569,73 @@ def test_schur_block_matches_congruence_reference(name):
         V = kernels.scaled_congruence_rows(Gp, R)
         M = V @ V.T + (Gn * w2) @ Gn.T
         reg = solver.KKT_REGULARIZATION * max(1.0, np.abs(M).max())
-        ref = np.block([[M, Gf], [-Gf.T, np.zeros((ws.f, ws.f))]])
-        ref += reg * np.eye(ws.rows + ws.f)
+        ref = np.block([[M, Gf], [Gf.T, np.zeros((ws.f, ws.f))]])
+        ref += reg * np.diag(np.r_[np.ones(ws.rows), -np.ones(ws.f)])
         assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
+        # LU factors K through its transpose: K is symmetric, bit for bit on
+        # mc_sdr, the saddle of sdr_c0 and lp_shared, and to rounding where a
+        # slot's rows carry unlike scales
+        if name in ("mc_sdr", "sdr_c0", "lp_shared"):
+            np.testing.assert_array_equal(K, K.T)
+        else:
+            assert np.abs(K - K.T).max() <= 8 * np.finfo(float).eps * np.abs(K).max()
         z = rng.standard_normal(V.shape[1])
         assert np.abs(Vz(z) - V @ z).max() <= 1e-12 * np.abs(V @ z).max()
+
+
+def with_a_dense_row_shuffled_in(prog, seed):
+    """prog with one more row, dense in the PSD block, and its rows in a
+    random order: the rows of every slot become an index array."""
+    perm = np.random.default_rng(seed).permutation(prog.n_rows + 1)
+
+    def grown(G, value):
+        return np.vstack([G, np.full((1, G.shape[1]), value)])[perm]
+
+    return dataclasses.replace(prog, G_psd=grown(prog.G_psd, 1.0), G_nonneg=grown(prog.G_nonneg, 0.0),
+                               G_free=grown(prog.G_free, 0.0), rhs=np.append(prog.rhs, 1.0)[perm])
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_schur_chunks_match_the_whole_block(monkeypatch, shuffled):
+    # mc_dnnp at n=40 (902 rows): slot 0 spans several chunks at the default
+    # size; one row per chunk and one chunk per block give the same bits
+    prog = build_mc_dnnp(random_graph(40, seed=24, density=0.6))[0]
+    ws = _Workspace(with_a_dense_row_shuffled_in(prog, 3) if shuffled else prog, SolverSettings())
+    assert ws.rows > solver._CHUNK // ws.rows and len(ws.schur.slots) == 2
+    assert all(isinstance(s.rows, slice) != shuffled for s in ws.schur.slots)
+    rng = np.random.default_rng(11)
+    R = rng.standard_normal((ws.d, ws.d))
+    w2 = rng.uniform(0.1, 2.0, ws.p)
+    K = ws.kkt(R, w2)[0].copy()
+    for chunk in (1, 1 << 30):
+        monkeypatch.setattr(solver, "_CHUNK", chunk)
+        np.testing.assert_array_equal(ws.kkt(R, w2)[0], K)
+
+
+@pytest.mark.parametrize("name", ["sdr_c0", "sdr"])
+def test_saddle_solve_matches_the_unsymmetric_layout(name):
+    # the symmetric saddle [[M + reg, Gf], [Gf^T, -reg]], factored in place
+    # with the free right-hand side negated, solves bit for bit as
+    # [[M + reg, Gf], [-Gf^T, reg]] factored on a copy
+    prog = SCHUR_PROGRAMS["sdr_c0"]() if name == "sdr_c0" else ROW_PROGRAMS["sdr"]()
+    ws = _Workspace(prog, SolverSettings())
+    rows = ws.rows
+    assert ws.f
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        R = rng.standard_normal((ws.d, ws.d))
+        w2 = rng.uniform(0.1, 2.0, ws.p)
+        K = ws.kkt(R, w2)[0]
+        saddle, old = K.copy(), K.copy()
+        old[rows:] *= -1.0
+        rhs = rng.standard_normal(rows + ws.f)
+        lu = scipy.linalg.lu_factor(K.T, overwrite_a=True, check_finite=False)
+        assert np.shares_memory(lu[0], K)
+        np.testing.assert_array_equal(
+            scipy.linalg.lu_solve(lu, np.r_[rhs[:rows], -rhs[rows:]]),
+            scipy.linalg.lu_solve(scipy.linalg.lu_factor(old), rhs))
+        # the next assembly rewrites every entry the factorization overwrote
+        np.testing.assert_array_equal(ws.kkt(R, w2)[0], saddle)
 
 
 def test_maxcut_thm4_graph_keeps_verdict_and_iterations(monkeypatch):
@@ -715,16 +777,28 @@ def test_presolve_matches_full_qr(name):
 
 @pytest.mark.parametrize("name", sorted(ROW_PROGRAMS))
 def test_row_blocks_match_the_whole_stack(monkeypatch, name):
-    # one row per stacked block: the norms and normalized triples are
-    # bit-for-bit those of the whole stack
+    # one row per stacked block: the norms, and the normalized triples the
+    # workspace keeps, are bit-for-bit those of the whole stack
     prog = ROW_PROGRAMS[name]()
     monkeypatch.setattr(solver, "_CHUNK", 1)
-    norms, coo = solver._row_scan(prog, floor=1e-12)
+    norms, _ = solver._row_scan(prog)
     G = np.hstack([prog.G_psd, prog.G_nonneg, prog.G_free])
     whole = np.linalg.norm(G, axis=1)
     np.testing.assert_array_equal(norms, whole)
-    for got, want in zip(coo, solver._coo(G / np.maximum(whole, 1e-12)[:, None])):
+    ws = _Workspace(prog, SolverSettings())
+    for got, want in zip(ws.triples, solver._coo(G / np.maximum(whole, 1e-12)[:, None])):
         np.testing.assert_array_equal(got, want)
+    # presolve keeps every row, so the solve scans them once, and a workspace
+    # built from presolve's scan is the one that scans for itself
+    pre = presolve_rank_check(prog, quiet=True)
+    given = _Workspace(pre.program, SolverSettings(), pre.scan)
+    for a, b in ((ws.row_scale, given.row_scale), (ws.b, given.b), (ws.Gf, given.Gf),
+                 *zip(ws.triples, given.triples)):
+        np.testing.assert_array_equal(a, b)
+    scans = []
+    monkeypatch.setattr(solver, "_row_scan", lambda p, _scan=solver._row_scan: scans.append(p) or _scan(p))
+    solve(prog, SolverSettings(max_iters=1))
+    assert len(scans) == 1
 
 
 @pytest.mark.parametrize("big", [1e160, 1e200, 1e300])
@@ -741,7 +815,8 @@ def test_presolve_keeps_a_row_whose_squares_overflow(big):
 
 def copied_kkt(ws, R, w2):
     """The KKT matrix built the earlier way: M assembled on its own, copied
-    into a zeroed K, the regularization taken from np.abs(M)."""
+    into a zeroed K (the saddle [[M + reg I, Gf], [Gf^T, -reg I]]), the
+    regularization taken from np.abs(M)."""
     rows, f, sch = ws.rows, ws.f, ws.schur
     V = kernels.scaled_congruence_rows(ws.Gp, R)
     M = V @ V.T
@@ -752,10 +827,10 @@ def copied_kkt(ws, R, w2):
     K = np.zeros((rows + f, rows + f))
     K[:rows, :rows] = M
     K[:rows, rows:] = ws.Gf
-    K[rows:, :rows] = -ws.Gf.T
+    K[rows:, :rows] = ws.Gf.T
     reg = solver.KKT_REGULARIZATION * max(1.0, np.abs(M).max() if rows else 1.0)
     K[np.arange(rows), np.arange(rows)] += reg
-    K[np.arange(rows, rows + f), np.arange(rows, rows + f)] += reg
+    K[np.arange(rows, rows + f), np.arange(rows, rows + f)] -= reg
     return K
 
 
@@ -768,7 +843,9 @@ def test_dense_rows_kkt_is_bit_identical_to_the_copied_assembly(name):
     for _ in range(3):
         R = rng.standard_normal((ws.d, ws.d))
         w2 = rng.uniform(0.1, 2.0, ws.p)
-        np.testing.assert_array_equal(ws.kkt(R, w2)[0], copied_kkt(ws, R, w2))
+        K = ws.kkt(R, w2)[0]
+        np.testing.assert_array_equal(K, copied_kkt(ws, R, w2))
+        np.testing.assert_array_equal(K, K.T)
 
 
 def with_A(inst, A, b):
@@ -1160,16 +1237,28 @@ def test_solve_counts_on_a_direct_solve_and_a_short_circuit(ex_tight):
 def test_solve_counts_are_the_scipy_linalg_calls(monkeypatch):
     """Every counted factorization and solve is a call of the scipy.linalg
     function, so wrappers installed there (as a tracer does) see them all.
-    The step lengths are taken in scaled form: no triangular solve."""
+    The step lengths are taken in scaled form: no triangular solve, and the
+    factorization overwrites the workspace's KKT buffer instead of a copy."""
     calls = dict.fromkeys(("lu_factor", "lu_solve", "solve_triangular"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(scipy.linalg, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(scipy.linalg, name, counted)
+    buffers, in_place = [], []
+
+    def factor(*args, _factor=scipy.linalg.lu_factor, **kwargs):
+        lu, piv = _factor(*args, **kwargs)
+        in_place.append(np.shares_memory(lu, buffers[-1]))
+        return lu, piv
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", factor)
+    monkeypatch.setattr(solver._Workspace, "kkt", lambda ws, R, w2, _kkt=solver._Workspace.kkt:
+                        buffers.append(ws.K) or _kkt(ws, R, w2))
     prog, _ = build_sdr1(generate_instance("RdBQP", 12, 5, seed=1))
     sol = solve(prog)
     assert sol.stats["kkt_solves"] > 0
+    assert in_place == [True] * sol.stats["kkt_factorizations"]
     assert calls == {"lu_factor": sol.stats["kkt_factorizations"],
                      "lu_solve": sol.stats["kkt_solves"],
                      "solve_triangular": 0}
