@@ -49,19 +49,20 @@ and S that the NT scaling computes: when either fails, the iterate has left
 the cone and the solve ends there (stop_reason left_cone); nothing is
 repaired.  Any other numerical failure ends it as breakdown (see _iterate).
 
-Linear algebra per iteration: the KKT matrix is assembled in place in one
+Linear algebra per iteration: the NT scaling is the Cholesky factors of X and
+S and one eigh of Lx^T S Lx.  The KKT matrix is assembled in place in one
 buffer per solve, rows in the program's own order (see _SchurRows), its
-sparse-row blocks gathered a bounded number of rows at a time; the free
-block enters as the symmetric saddle [[M + reg I, Gf], [Gf^T, -reg I]], with
-the free rows of each right-hand side negated.  K is factored once by LU in
-place, through its transposed (Fortran-ordered) view, which is K itself up
-to the rounding of the Schur block; one back-solve gives the tau column,
-one each Newton direction and one each of its refinement passes (see
-direction()).  The PSD step lengths and the corrector take the directions
-in NT-scaled form, dX~ = R^{-1} dX R^{-T} and dS~ = R^T dS R, as newton
-forms them: one eigvalsh per cone against diag(lam), and no triangular
-solve.  The step bounds the scaled direction; dX as rounded back through R
-can still leave the cone near its boundary, which the next Cholesky
+sparse-row blocks gathered a bounded number of rows at a time; the free block
+enters as the symmetric saddle [[M + reg I, Gf], [Gf^T, -reg I]], with the
+free rows of each right-hand side negated.  K is factored once by LU in
+place, through its transposed (Fortran-ordered) view, which is K itself up to
+the rounding of the Schur block; one back-solve gives the tau column, one
+each Newton direction and one each of its refinement passes (see
+direction()).  The PSD step lengths and the corrector take the directions in
+NT-scaled form, dX~ = R^{-1} dX R^{-T} and dS~ = R^T dS R, as newton forms
+them: one smallest-eigenvalue call per cone against diag(lam), and no
+triangular solve.  The step bounds the scaled direction; dX as rounded back
+through R can still leave the cone near its boundary, which the next Cholesky
 catches.  No factorization or solve checks for non-finite values.
 ConicSolution.stats counts the factorizations, the solves and the
 refinement passes, keeps the smallest step length taken (min_step) and
@@ -333,15 +334,24 @@ def _keep_rows(prog: ConicProgram, kept: list) -> ConicProgram:
 
 
 def _nt_scaling(X: np.ndarray, S: np.ndarray):
-    """Nesterov-Todd scaling point: returns (R, lam) with
-    R^{-1} X R^{-T} = R^T S R = diag(lam), from the Cholesky factors of X
-    and S.  An X or S outside the interior of the cone raises
-    np.linalg.LinAlgError."""
+    """Nesterov-Todd scaling point: returns (R, lam), lam ascending, with
+    R^{-1} X R^{-T} = R^T S R = diag(lam): from the Cholesky factors of X and
+    S and one eigh of Lx^T S Lx = V diag(lam^2) V^T, R = Lx V diag(lam^{-1/2})
+    (Todd, Toh and Tutuncu, SIAM J. Optim. 8, 1998).  An X or S outside the
+    interior of the cone raises np.linalg.LinAlgError."""
     Lx = np.linalg.cholesky(X)
-    Ls = np.linalg.cholesky(S)
-    U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
-    sig = np.maximum(sig, 1e-150)
-    return Lx @ Vt.T * (1.0 / np.sqrt(sig)), sig
+    P = np.linalg.cholesky(S).T @ Lx
+    w, V = np.linalg.eigh(P.T @ P)
+    lam = np.sqrt(np.maximum(w, 1e-300))
+    return Lx @ V * (1.0 / np.sqrt(lam)), lam
+
+
+def _lambda_min(T: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetric T (upper triangle), and no other."""
+    w, *_, info = scipy.linalg.lapack.dsyevr(T, compute_v=0, range="I", il=1, iu=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
+    return float(w[0])
 
 
 def _max_step_scaled(lam: np.ndarray, dT: np.ndarray) -> float:
@@ -350,7 +360,7 @@ def _max_step_scaled(lam: np.ndarray, dT: np.ndarray) -> float:
     same for S): the smallest eigenvalue of lam^{-1/2} dT lam^{-1/2}."""
     isq = 1.0 / np.sqrt(lam)
     T = dT * np.outer(isq, isq)
-    lam_min = np.linalg.eigvalsh(0.5 * (T + T.T))[0]
+    lam_min = _lambda_min(0.5 * (T + T.T))
     return np.inf if lam_min >= 0 else 1.0 / (-lam_min)
 
 
@@ -1025,7 +1035,7 @@ def _certificate_scan(ws: _Workspace, cx: float, by: float):
         if ok and ws.p:
             ok = sn.min() >= -tol_cone
         if ok and ws.d:
-            ok = float(np.linalg.eigvalsh(smat(sp))[0]) >= -tol_cone
+            ok = _lambda_min(smat(sp)) >= -tol_cone
         if ok:
             # _assemble builds the slacks in the original rows
             return STATUS_INFEASIBLE, RayCertificate(kind="dual", y=yr)

@@ -259,6 +259,24 @@ def test_profile_writes_monotone_csv(tmp_path, capsys):
         assert rhos[-1] <= 1.0
 
 
+@pytest.mark.parametrize("flag", ["--out", "--records-out"])
+def test_profile_unwritable_output_exit_4(tmp_path, capsys, flag):
+    outs = {"--out": str(tmp_path / "prof.csv"), flag: str(tmp_path / "missing" / "x.csv")}
+    code, _, err = run(capsys, "profile", "--suite", "rdbqp", "--count", "1", "--n", "4",
+                       "--m", "1", *(a for kv in outs.items() for a in kv))
+    assert code == 4
+    assert err.startswith("error: cannot write output")
+
+
+def test_broken_pipe_exit_4(capsys, monkeypatch):
+    # a reader that closes stdout early (bqrelax ... | head) ends the command with EXIT_IO
+    def closed(args):
+        raise BrokenPipeError
+    monkeypatch.setattr(bqrelax.cli, "cmd_oracle", closed)
+    code, _, _ = run(capsys, "oracle", TIGHT)
+    assert code == 4
+
+
 def test_tol_env_override(capsys, monkeypatch):
     monkeypatch.setenv("BQRELAX_TOL", "1e-6")
     code, stdout, _ = run(capsys, "solve", TIGHT, "--relax", "sdr1")

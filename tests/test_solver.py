@@ -656,6 +656,16 @@ def test_maxcut_thm4_graph_keeps_verdict_and_iterations(monkeypatch):
     assert iters == [14, 16]
 
 
+def test_maxcut_sdr_graph_keeps_status_and_counts():
+    # one graph of the maxcut-sdr benchmark workload (order 150), solved at
+    # the solver defaults; the counts are those of the NT scaling by SVD and
+    # the step lengths from the whole spectrum
+    prog = build_mc_sdr(random_graph(150, seed=1, density=0.5))[0]
+    sol = solve(prog)
+    assert (sol.status, certify(prog, sol).ok, sol.iters) == (STATUS_OPTIMAL, True, 13)
+    assert (sol.stats["kkt_factorizations"], sol.stats["refinements"]) == (12, 0)
+
+
 def count_congruence_calls(monkeypatch):
     calls = []
     original = kernels.scaled_congruence_rows
@@ -1150,11 +1160,16 @@ def random_psd_svec(rng, d, rank=None):
     return svec(A @ A.T + (1e-3 * np.eye(d) if rank is None else 0.0))
 
 
-@pytest.mark.parametrize("d", [1, 2, 5, 13, 41])
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 13, 41, 150])
 def test_max_step_scaled_matches_the_cholesky_step(d):
     # the step in NT-scaled form, X~ = S~ = diag(lam), against the step that
     # refactors X (or S) and solves through it
     rng = np.random.default_rng(d)
+    # the one smallest eigenvalue the step reads, against the whole spectrum
+    A = rng.standard_normal((d, d))
+    T = A + A.T
+    assert abs(solver._lambda_min(T) - np.linalg.eigvalsh(T)[0]) <= 1e-13 * max(
+        1.0, np.linalg.norm(T, 2))
     x, s = random_psd_svec(rng, d), random_psd_svec(rng, d)
     R, lam = solver._nt_scaling(smat(x), smat(s))
     np.testing.assert_allclose(np.linalg.solve(R, np.linalg.solve(R, smat(x)).T), np.diag(lam),
@@ -1181,6 +1196,40 @@ def test_max_step_scaled_matches_the_cholesky_step(d):
     for args in ((X, smat(s)), (smat(s), X)):
         with pytest.raises(np.linalg.LinAlgError):
             solver._nt_scaling(*args)
+
+
+def nt_scaling_by_svd(X, S):
+    """The NT scaling from the SVD of Ls^T Lx = U diag(lam) V^T: the reference."""
+    Lx = np.linalg.cholesky(X)
+    _, sig, Vt = np.linalg.svd(np.linalg.cholesky(S).T @ Lx)
+    sig = np.maximum(sig, 1e-150)
+    return Lx @ Vt.T * (1.0 / np.sqrt(sig)), sig
+
+
+def test_nt_scaling_is_as_accurate_as_the_svd_route():
+    # X at cond 1e8 and S = Lx^{-T} M Lx^{-1}, so that eig(XS) = eig(M)
+    # spreads over 1e4: both identities hold to within 10x of the SVD route's error
+    rng = np.random.default_rng(8)
+    d = 30
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    X = (Q * np.logspace(0, -8, d)) @ Q.T
+    X = 0.5 * (X + X.T)
+    U = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    Li = np.linalg.inv(np.linalg.cholesky(X))
+    S = Li.T @ ((U * np.logspace(0, 4, d)) @ U.T) @ Li
+    S = 0.5 * (S + S.T)
+    assert np.linalg.cond(X) == pytest.approx(1e8, rel=1e-3)
+
+    def errors(R, lam):
+        D = np.diag(lam)
+        return (np.abs(np.linalg.solve(R, np.linalg.solve(R, X).T) - D).max() / lam.max(),
+                np.abs(R.T @ S @ R - D).max() / lam.max())
+
+    R, lam = solver._nt_scaling(X, S)
+    R_ref, lam_ref = nt_scaling_by_svd(X, S)
+    np.testing.assert_allclose(lam, np.sort(lam_ref), rtol=1e-6)
+    for err, ref in zip(errors(R, lam), errors(R_ref, lam_ref)):
+        assert err <= 10 * ref
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
