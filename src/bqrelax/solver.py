@@ -16,16 +16,10 @@ construction at every iterate (the naive b^T y / tau is not, for
 infeasible-start embeddings); the final reported dual objective is the
 genuine b^T y / tau, sense/offset adjusted.
 
-Presolve: equality rows are checked for linear dependence.  A row that is
-the only nonzero of some column (coefficient above 1e-10 * row norm) is
-independent and kept without a rank test; the rule repeats on the rows left,
-and only the rest go through QR (pivot threshold 1e-10 * row norm).
-Dependent-but-consistent rows are pruned with a logged warning and their
-multipliers reported as zero; an inconsistent dependent row short-circuits
-to Infeasible with an exact Farkas combination.  A free-block least-squares
-check detects objective components outside range(A_f^T) and short-circuits
-to Unbounded with an exact improving ray.  Rows are normalized to unit
-coefficient norm for conditioning.
+Presolve (presolve_rank_check) prunes numerically dependent equality rows,
+reporting their multipliers as zero, and ends on an exact certificate when a
+dependent row is inconsistent (Infeasible) or the objective leaves
+range(A_f^T) (Unbounded).  Rows are normalized to unit norm for conditioning.
 
 Facial reduction: a program whose builder declares a face (relax.Face) and
 whose declared row combinations check out is solved on it, without the rows
@@ -50,20 +44,13 @@ the cone and the solve ends there (stop_reason left_cone); nothing is
 repaired.  Any other numerical failure ends it as breakdown (see _iterate).
 
 Linear algebra per iteration: the NT scaling is the Cholesky factors of X and
-S and one eigh of Lx^T S Lx.  The KKT matrix is assembled in place in one
-buffer per solve, rows in the program's own order (see _SchurRows), its
-sparse-row blocks gathered a bounded number of rows at a time; the free block
-enters as the symmetric saddle [[M + reg I, Gf], [Gf^T, -reg I]], with the
-free rows of each right-hand side negated.  K is factored once by LU in
-place, through its transposed (Fortran-ordered) view, which is K itself up to
-the rounding of the Schur block; one back-solve gives the tau column, one
-each Newton direction and one each of its refinement passes (see
-direction()).  The PSD step lengths and the corrector take the directions in
-NT-scaled form, dX~ = R^{-1} dX R^{-T} and dS~ = R^T dS R, as newton forms
-them: one smallest-eigenvalue call per cone against diag(lam), and no
-triangular solve.  The step bounds the scaled direction; dX as rounded back
-through R can still leave the cone near its boundary, which the next Cholesky
-catches.  No factorization or solve checks for non-finite values.
+S and one eigh of Lx^T S Lx, and the Newton system is one _NewtonSystem.  The
+PSD step lengths and the corrector take the directions in NT-scaled form,
+dX~ = R^{-1} dX R^{-T} and dS~ = R^T dS R, as newton forms them: one
+smallest-eigenvalue call per cone against diag(lam), and no triangular
+solve.  The step bounds the scaled direction; dX as rounded back through R
+can still leave the cone near its boundary, which the next Cholesky catches.
+No factorization or solve checks for non-finite values.
 ConicSolution.stats counts the factorizations, the solves and the
 refinement passes, keeps the smallest step length taken (min_step) and
 names the exit (stop_reason).
@@ -595,10 +582,8 @@ class _Workspace:
         self.nu = self.d + self.p
         self.cnorm = _inf_norm(self.c_psd, self.c_nn, self.c_f)
         self.bnorm = _inf_norm(self.b)
-        # G x and G^T y: from the normalized (row, col, value) triples of each
-        # block when the rows hold no more nonzeros than rows + columns (the
-        # max-cut programs, with one to three per row), else from the dense
-        # normalized blocks (face-reduced programs)
+        # G x and G^T y: from the triples of each block, or from the dense
+        # normalized blocks (see Row storage in the module docstring)
         starts = np.array([0, self.c_psd.size, self.c_psd.size + self.p])
         blk = np.searchsorted(starts, c, side="right") - 1
         Gp_coo, Gn_coo, Gf_coo = ((r[blk == j], c[blk == j] - starts[j], v[blk == j])
@@ -609,7 +594,7 @@ class _Workspace:
         self.Gp = prog.G_psd / self.row_scale[:, None] if dense else None
         self.Gn = prog.G_nonneg / self.row_scale[:, None] if dense else None
         self.schur = _SchurRows(prog, self.row_scale, Gp_coo, Gn_coo, self.Gp)
-        # the KKT buffer, rows in the program's order (see kkt)
+        # the KKT buffer, rows in the program's order (see _NewtonSystem)
         self.K = np.empty((self.rows + self.f, self.rows + self.f))
 
         self.pt = _Point(svec(np.eye(self.d)), np.ones(self.p), np.zeros(self.f),
@@ -627,21 +612,6 @@ class _Workspace:
     def restore_best(self):
         if self._best is not None:
             self.pt = self._best
-
-    def kkt(self, R: np.ndarray, w2: np.ndarray):
-        """(K, Vz): the KKT matrix at scaling R and orthant weights w2,
-        assembled in place in self.K as the symmetric saddle
-        [[M + reg I, Gf], [Gf^T, -reg I]], and the map z -> V z.  Every entry
-        is written, since the factorization overwrites K."""
-        K, rows = self.K, self.rows
-        M = K[:rows, :rows]
-        Vz = self.schur.assemble(M, R, w2)
-        reg = KKT_REGULARIZATION * max(1.0, max(M.max(), -M.min()) if rows else 1.0)
-        K[:rows, rows:], K[rows:, :rows], K[rows:, rows:] = self.Gf, self.Gf.T, 0.0
-        diag = K.reshape(-1)[::K.shape[0] + 1]
-        diag[:rows] += reg
-        diag[rows:] = -reg
-        return K, Vz
 
     # -- products with the normalized rows -----------------------------
 
@@ -693,6 +663,52 @@ class _Workspace:
         dres = _inf_norm(rd_psd, rd_nn, rd_f) / (tau * (1.0 + self.cnorm))
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return pobj, dobj, pres, dres, gap_rel
+
+
+class _NewtonSystem:
+    """The Newton system at one scaling: in (dy, dx_f, dtau) the bordered
+    [[K_u, -g], [q^T, theta]], K_u = [[M + reg I, Gf], [-Gf^T, reg I]] with M
+    the Schur block, g = (u + b; -c_f), q = (b - u; -c_f), u = V c_ps + Gn w2c.
+    K_u is held as the saddle diag(I, -I) K_u in ws.K, factored there once by
+    LU through its transposed view (K up to the rounding of M); so a back-solve
+    negates its free rows, exact sign flips that keep the bits of factoring K_u.
+    One eliminates the tau column and solve() takes one, each a scipy.linalg
+    call looked up when made (so wrappers see it) and counted in ws.stats."""
+
+    def __init__(self, ws: "_Workspace", R, w2, c_ps, w2c, theta: float):
+        self.rows, self.stats = ws.rows, ws.stats
+        K, self.Vz = self.assemble(ws, R, w2)
+        self.stats["kkt_factorizations"] += 1
+        self.lu = scipy.linalg.lu_factor(K.T, overwrite_a=True, check_finite=False)
+        u = self.Vz(c_ps) + ws.matvec(w2c)
+        self.q = np.concatenate([ws.b - u, -ws.c_f])
+        self.z2 = self._back_solve(u + ws.b, -ws.c_f)
+        self.denom = theta + float(self.q @ self.z2)
+        self.ok = 0 < self.denom < np.inf  # not so when K or g is not finite
+
+    @staticmethod
+    def assemble(ws: "_Workspace", R: np.ndarray, w2: np.ndarray):
+        """(K, Vz): every entry of the saddle K written into ws.K, and z -> V z."""
+        K, rows = ws.K, ws.rows
+        M = K[:rows, :rows]
+        Vz = ws.schur.assemble(M, R, w2)
+        reg = KKT_REGULARIZATION * max(1.0, max(M.max(), -M.min()) if rows else 1.0)
+        K[:rows, rows:], K[rows:, :rows], K[rows:, rows:] = ws.Gf, ws.Gf.T, 0.0
+        diag = K.reshape(-1)[::K.shape[0] + 1]
+        diag[:rows] += reg
+        diag[rows:] = -reg
+        return K, Vz
+
+    def _back_solve(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+        self.stats["kkt_solves"] += 1
+        return scipy.linalg.lu_solve(self.lu, np.concatenate([r, -t]), check_finite=False)
+
+    def solve(self, r: np.ndarray, t: np.ndarray, r3: float):
+        """(dy, dx_f, dtau) for the right-hand side (r; t; r3)."""
+        z = self._back_solve(r, t)
+        dtau = (r3 - float(self.q @ z)) / self.denom
+        z = z + dtau * self.z2
+        return z[:self.rows], z[self.rows:], dtau
 
 
 def _inf_norm(*arrays):
@@ -854,7 +870,7 @@ def _iterate(ws: _Workspace):
     breakdown (mu <= 0, a KKT denominator that is not positive and finite, or
     a non-finite direction) and iteration_limit."""
     st = ws.settings
-    d, p, rows = ws.d, ws.p, ws.rows
+    d, p = ws.d, ws.p
 
     for it in range(st.max_iters):
         pt = ws.pt
@@ -887,21 +903,10 @@ def _iterate(ws: _Workspace):
         c_ps = svec(R.T @ smat(ws.c_psd) @ R)
         w_nn = np.sqrt(pt.x_nn / pt.s_nn)
         w2 = w_nn**2
-
-        K, Vz = ws.kkt(R, w2)
-        ws.stats["kkt_factorizations"] += 1
-        # in place: LAPACK reads the C-ordered K as K^T, which is K to rounding
-        lu = scipy.linalg.lu_factor(K.T, overwrite_a=True, check_finite=False)
-
         w2c = w2 * ws.c_nn
-        u = Vz(c_ps) + ws.matvec(w2c)
-        theta_c = float(c_ps @ c_ps + (w_nn * ws.c_nn) @ (w_nn * ws.c_nn))
-        q = np.concatenate([ws.b - u, -ws.c_f])
-        z2 = scipy.linalg.lu_solve(lu, np.concatenate([u + ws.b, ws.c_f]), check_finite=False)
-        ws.stats["kkt_solves"] += 1
-        denom = theta_c + kappa / tau + float(q @ z2)
-        # a non-finite K or rhs reaches here as a non-finite denom
-        if not (mu > 0 and 0 < denom < np.inf):
+        theta = float(c_ps @ c_ps + (w_nn * ws.c_nn) @ (w_nn * ws.c_nn)) + kappa / tau
+        kkt = _NewtonSystem(ws, R, w2, c_ps, w2c, theta)
+        if not (mu > 0 and kkt.ok):
             return _stop(ws, "breakdown")
 
         lam_outer = 2.0 / np.add.outer(lam, lam)
@@ -915,21 +920,16 @@ def _iterate(ws: _Workspace):
             dX~ = R^{-1} dX R^{-T} and dS~ = R^T dS R.
             """
             t2s = svec(R.T @ smat(t2p) @ R)
-            Wt2 = Vz(t2s) + ws.matvec(w2 * t2n)
+            Wt2 = kkt.Vz(t2s) + ws.matvec(w2 * t2n)
             cWt2 = float(c_ps @ t2s + w2c @ t2n)
             r1, r3 = t1 - Wt2, t3 + Et / tau
             if Em is not None:
                 Hm = Em * lam_outer
                 h = svec(Hm)
-                r1 = r1 - (Vz(h) + ws.matvec(En / pt.s_nn))
+                r1 = r1 - (kkt.Vz(h) + ws.matvec(En / pt.s_nn))
                 r3 = r3 + float(c_ps @ h + ws.c_nn @ (En / pt.s_nn))
             r3 = r3 + cWt2
-            z1 = scipy.linalg.lu_solve(lu, np.concatenate([r1, -t2f]), check_finite=False)
-            ws.stats["kkt_solves"] += 1
-            dtau = (r3 - float(q @ z1)) / denom
-            zz = z1 + dtau * z2
-            dy = zz[:rows]
-            dxf = zz[rows:]
+            dy, dxf, dtau = kkt.solve(r1, t2f, r3)
             gp, gn, _ = ws.rmatvec(dy, free=False)
             arg_psd = gp - ws.c_psd * dtau + t2p
             arg_nn = gn - ws.c_nn * dtau + t2n

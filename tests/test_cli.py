@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bqrelax
+from bqrelax import bench, equivalence
 from bqrelax.cli import main
 from bqrelax.fixtures import fixture_path
 
@@ -190,6 +191,17 @@ def test_compare_exit_code_follows_the_solve_rule(capsys):
         assert code == want, (methods, max_iters)
 
 
+def test_compare_prints_each_violation(capsys, monkeypatch):
+    monkeypatch.setattr(bench, "bound_order_report", lambda records, tol: bench.BoundOrderReport(
+        total=1, order_violations=[("i", 0.5)], equality_violations=[("i", 0.25)]))
+    code, stdout, _ = run(capsys, "compare", TIGHT)
+    lines = stdout.splitlines()
+    assert "order violation: bound(sdr1) exceeds bound(sdr2) by 5.000e-01" in lines
+    assert "equality violation: |bound(sdr2) - bound(dnnp)| = 2.500e-01" in lines
+    # the exit code follows the solves, which are Optimal
+    assert code == 0 and "bound ordering checks: ok" not in stdout
+
+
 def test_compare_unknown_tag_exit_2(capsys):
     code, _, _ = run(capsys, "compare", TIGHT, "--relax", "sdr1,bogus")
     assert code == 2
@@ -207,6 +219,16 @@ def test_verify_thm4_triangle(capsys):
     rep = json.loads(stdout)
     assert rep["verdict"] == "pass"
     assert rep["opt_a"] == pytest.approx(2.25, abs=1e-5)
+
+
+def test_verify_fail_exit_1(capsys, monkeypatch):
+    # cmd_verify looks the check up at call time, so a fail verdict reaches it
+    real = equivalence.verify_theorem3
+    monkeypatch.setattr(equivalence, "verify_theorem3",
+                        lambda inst, tol: dataclasses.replace(real(inst, tol), verdict="fail"))
+    code, stdout, _ = run(capsys, "verify", "--mode", "thm3", TIGHT)
+    assert code == 1
+    assert json.loads(stdout)["verdict"] == "fail"
 
 
 def test_verify_not_applicable_exit_6(tmp_path, capsys):
@@ -336,6 +358,25 @@ def test_nonfinite_input_is_usage_error(tmp_path, capsys, command):
             code, stdout, err = run(capsys, *command, str(path))
             assert (code, stdout) == (2, "")
             assert err.startswith(f"error: cannot read {kind}") and "finite" in err
+
+
+MALFORMED_INSTANCES = {
+    "list": "[1, 2]",
+    "n-null": json.dumps({**json.loads(Path(TIGHT).read_text()), "n": None}),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--relax", "sdr1"], ["compare"], ["verify", "--mode", "thm3"], ["oracle"],
+], ids=["solve", "compare", "thm3", "oracle"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_INSTANCES))
+def test_malformed_instance_is_usage_error(tmp_path, capsys, command, name):
+    # reading these fields raises TypeError, not ValueError or KeyError
+    path = tmp_path / f"{name}.json"
+    path.write_text(MALFORMED_INSTANCES[name])
+    code, stdout, err = run(capsys, *command, str(path))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot read instance {path}")
 
 
 def test_gen_unwritable_path_exit_4(capsys):

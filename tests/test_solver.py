@@ -28,6 +28,7 @@ from bqrelax.solver import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     SolverSettings,
+    _NewtonSystem,
     _Workspace,
     certify,
     presolve_rank_check,
@@ -565,7 +566,7 @@ def test_schur_block_matches_congruence_reference(name):
     for _ in range(3):  # one KKT buffer per solve: nothing may carry over
         R = rng.standard_normal((ws.d, ws.d))
         w2 = rng.uniform(0.1, 2.0, ws.p)
-        K, Vz = ws.kkt(R, w2)
+        K, Vz = _NewtonSystem.assemble(ws, R, w2)
         V = kernels.scaled_congruence_rows(Gp, R)
         M = V @ V.T + (Gn * w2) @ Gn.T
         reg = solver.KKT_REGULARIZATION * max(1.0, np.abs(M).max())
@@ -606,17 +607,31 @@ def test_schur_chunks_match_the_whole_block(monkeypatch, shuffled):
     rng = np.random.default_rng(11)
     R = rng.standard_normal((ws.d, ws.d))
     w2 = rng.uniform(0.1, 2.0, ws.p)
-    K = ws.kkt(R, w2)[0].copy()
+    K = _NewtonSystem.assemble(ws, R, w2)[0].copy()
     for chunk in (1, 1 << 30):
         monkeypatch.setattr(solver, "_CHUNK", chunk)
-        np.testing.assert_array_equal(ws.kkt(R, w2)[0], K)
+        np.testing.assert_array_equal(_NewtonSystem.assemble(ws, R, w2)[0], K)
+
+
+def newton_system_at(ws, R, w2):
+    """The seam at scaling R and orthant weights w2, with kappa / tau = 1:
+    (it, K as assembled before it factored K, and its tau column's g, q and
+    theta)."""
+    K = _NewtonSystem.assemble(ws, R, w2)[0].copy()
+    c_ps = svec(R.T @ smat(ws.c_psd) @ R)
+    w2c = w2 * ws.c_nn
+    theta = float(c_ps @ c_ps + w2c @ ws.c_nn) + 1.0
+    kkt = _NewtonSystem(ws, R, w2, c_ps, w2c, theta)
+    u = kkt.Vz(c_ps) + ws.matvec(w2c)
+    return kkt, K, np.r_[u + ws.b, -ws.c_f], np.r_[ws.b - u, -ws.c_f], theta
 
 
 @pytest.mark.parametrize("name", ["sdr_c0", "sdr"])
 def test_saddle_solve_matches_the_unsymmetric_layout(name):
-    # the symmetric saddle [[M + reg, Gf], [Gf^T, -reg]], factored in place
-    # with the free right-hand side negated, solves bit for bit as
-    # [[M + reg, Gf], [-Gf^T, reg]] factored on a copy
+    # the seam factors the symmetric saddle [[M + reg, Gf], [Gf^T, -reg]] in
+    # place and negates the free rows of each right-hand side; its solve has
+    # the bits of [[M + reg, Gf], [-Gf^T, reg]] factored on a copy, with the
+    # tau column eliminated there
     prog = SCHUR_PROGRAMS["sdr_c0"]() if name == "sdr_c0" else ROW_PROGRAMS["sdr"]()
     ws = _Workspace(prog, SolverSettings())
     rows = ws.rows
@@ -625,17 +640,41 @@ def test_saddle_solve_matches_the_unsymmetric_layout(name):
     for _ in range(3):
         R = rng.standard_normal((ws.d, ws.d))
         w2 = rng.uniform(0.1, 2.0, ws.p)
-        K = ws.kkt(R, w2)[0]
-        saddle, old = K.copy(), K.copy()
+        kkt, saddle, g, q, theta = newton_system_at(ws, R, w2)
+        assert np.shares_memory(kkt.lu[0], ws.K)
+        old = saddle.copy()
         old[rows:] *= -1.0
-        rhs = rng.standard_normal(rows + ws.f)
-        lu = scipy.linalg.lu_factor(K.T, overwrite_a=True, check_finite=False)
-        assert np.shares_memory(lu[0], K)
-        np.testing.assert_array_equal(
-            scipy.linalg.lu_solve(lu, np.r_[rhs[:rows], -rhs[rows:]]),
-            scipy.linalg.lu_solve(scipy.linalg.lu_factor(old), rhs))
+        lu = scipy.linalg.lu_factor(old)
+        z2 = scipy.linalg.lu_solve(lu, g)
+        r, t, r3 = rng.standard_normal(rows), rng.standard_normal(ws.f), rng.standard_normal()
+        z = scipy.linalg.lu_solve(lu, np.r_[r, t])
+        dtau = (r3 - float(q @ z)) / (theta + float(q @ z2))
+        z = z + dtau * z2
+        for got, want in zip(kkt.solve(r, t, r3), (z[:rows], z[rows:], dtau)):
+            np.testing.assert_array_equal(got, want)
         # the next assembly rewrites every entry the factorization overwrote
-        np.testing.assert_array_equal(ws.kkt(R, w2)[0], saddle)
+        np.testing.assert_array_equal(_NewtonSystem.assemble(ws, R, w2)[0], saddle)
+
+
+@pytest.mark.parametrize("name", ["sdr_c0", "mc_dnnp", "sdr2-face"])
+def test_newton_system_solves_the_bordered_system(name):
+    # (dy, dx_f, dtau) solves [[K_u, -g], [q^T, theta]] with
+    # K_u = [[M + reg, Gf], [-Gf^T, reg]]: the tau column's elimination
+    # against a dense solve of the whole bordered matrix
+    prog = {**SCHUR_PROGRAMS, **FACE_PROGRAMS}[name]()
+    ws = _Workspace(presolve_rank_check(prog, quiet=True).program, SolverSettings())
+    rows = ws.rows
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        R = rng.standard_normal((ws.d, ws.d))
+        w2 = rng.uniform(0.1, 2.0, ws.p)
+        kkt, K, g, q, theta = newton_system_at(ws, R, w2)
+        K[rows:] *= -1.0
+        B = np.block([[K, -g[:, None]], [q, theta]])
+        rhs = rng.standard_normal(B.shape[0])
+        want = np.linalg.solve(B, rhs)
+        got = np.r_[kkt.solve(rhs[:rows], rhs[rows:-1], rhs[-1])]
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
 
 def test_maxcut_thm4_graph_keeps_verdict_and_iterations(monkeypatch):
@@ -853,7 +892,7 @@ def test_dense_rows_kkt_is_bit_identical_to_the_copied_assembly(name):
     for _ in range(3):
         R = rng.standard_normal((ws.d, ws.d))
         w2 = rng.uniform(0.1, 2.0, ws.p)
-        K = ws.kkt(R, w2)[0]
+        K = _NewtonSystem.assemble(ws, R, w2)[0]
         np.testing.assert_array_equal(K, copied_kkt(ws, R, w2))
         np.testing.assert_array_equal(K, K.T)
 
@@ -1302,8 +1341,9 @@ def test_solve_counts_are_the_scipy_linalg_calls(monkeypatch):
         return lu, piv
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", factor)
-    monkeypatch.setattr(solver._Workspace, "kkt", lambda ws, R, w2, _kkt=solver._Workspace.kkt:
-                        buffers.append(ws.K) or _kkt(ws, R, w2))
+    monkeypatch.setattr(solver._NewtonSystem, "assemble", staticmethod(
+        lambda ws, R, w2, _assemble=solver._NewtonSystem.assemble:
+        buffers.append(ws.K) or _assemble(ws, R, w2)))
     prog, _ = build_sdr1(generate_instance("RdBQP", 12, 5, seed=1))
     sol = solve(prog)
     assert sol.stats["kkt_solves"] > 0
