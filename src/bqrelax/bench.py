@@ -58,8 +58,8 @@ class ProfileCurve:
 
 
 def run_suite(kind: str, count: int, n: int, m: int, methods, base_seed: int = 0,
-              settings: SolverSettings | None = None, planted: bool = True) -> list:
-    """Solve each method on ``count`` instances (seeds base_seed+1..base_seed+count).
+              settings: SolverSettings | None = None) -> list:
+    """Solve each method on ``count`` planted instances (seeds base_seed+1..base_seed+count).
 
     Failures are recorded, not raised.  Records come back sorted by
     (instance_id, method).
@@ -75,7 +75,7 @@ def run_suite(kind: str, count: int, n: int, m: int, methods, base_seed: int = 0
     records = []
     for i in range(1, count + 1):
         seed = base_seed + i
-        inst = generate_instance(kind, n, m, seed=seed, planted=planted)
+        inst = generate_instance(kind, n, m, seed=seed)
         for method in methods:
             prog, _ = RELAXATION_BUILDERS[method](inst)
             t0 = time.perf_counter()

@@ -49,7 +49,7 @@ def _load(load, path, what):
     """load(path); an unreadable or malformed file is a usage error."""
     try:
         return load(path)
-    except (OSError, TypeError, ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: cannot read {what} {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 

@@ -246,15 +246,21 @@ def instance_to_dict(inst: BqpInstance) -> dict:
 
 
 def instance_from_dict(obj: dict) -> BqpInstance:
-    n = int(obj["n"])
-    m = int(obj["m"])
-    return BqpInstance(
-        Q=np.array(obj["Q"], dtype=float).reshape(n, n),
-        c=np.array(obj["c"], dtype=float).reshape(n),
-        A=np.array(obj["A"], dtype=float).reshape(m, n),
-        b=np.array(obj["b"], dtype=float).reshape(m),
-        name=str(obj.get("name", "bqp")),
-    )
+    """The instance stored in obj; ValueError, naming the field, when obj is not one."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"instance rejected: expected an object, got {type(obj).__name__}")
+
+    def read(key, *shape):  # n and m are integers, the rest arrays of the given shape
+        if key not in obj:
+            raise ValueError(f"instance rejected: field {key!r} missing")
+        try:
+            return np.array(obj[key], dtype=float).reshape(shape) if shape else int(obj[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"instance rejected: field {key!r}: {exc}") from None
+
+    n, m = read("n"), read("m")
+    return BqpInstance(Q=read("Q", n, n), c=read("c", n), A=read("A", m, n), b=read("b", m),
+                       name=str(obj.get("name", "bqp")))
 
 
 def save_instance(inst: BqpInstance, path) -> None:

@@ -44,12 +44,13 @@ the cone and the solve ends there (stop_reason left_cone); nothing is
 repaired.  Any other numerical failure ends it as breakdown (see _iterate).
 
 Linear algebra per iteration: the NT scaling is the Cholesky factors of X and
-S and one eigh of Lx^T S Lx, and the Newton system is one _NewtonSystem.  The
-PSD step lengths and the corrector take the directions in NT-scaled form,
-dX~ = R^{-1} dX R^{-T} and dS~ = R^T dS R, as newton forms them: one
-smallest-eigenvalue call per cone against diag(lam), and no triangular
-solve.  The step bounds the scaled direction; dX as rounded back through R
-can still leave the cone near its boundary, which the next Cholesky catches.
+S and one eigh of Lx^T S Lx, and the Newton system is one _NewtonSystem,
+whose newton() maps a linearized HSD right-hand side to a direction and its
+NT-scaled pair dX~ = R^{-1} dX R^{-T}, dS~ = R^T dS R; refinement calls it
+from outside.  The PSD step lengths and the corrector take that pair: one
+smallest-eigenvalue call per cone against diag(lam), no triangular solve.
+The step bounds the scaled direction; dX as rounded back through R can
+still leave the cone near its boundary, which the next Cholesky catches.
 No factorization or solve checks for non-finite values.
 ConicSolution.stats counts the factorizations, the solves and the
 refinement passes, keeps the smallest step length taken (min_step) and
@@ -358,10 +359,6 @@ def _max_step_vec(x: np.ndarray, dx: np.ndarray) -> float:
     return float((-x[neg] / dx[neg]).min())
 
 
-def _max_step_scalar(x: float, dx: float) -> float:
-    return np.inf if dx >= 0 else -x / dx
-
-
 class _Slot(NamedTuple):
     """Gather plan of the t-th nonzero of every sparse row that has one:
     those rows (a slice when consecutive), the nonzero's svec index
@@ -666,25 +663,33 @@ class _Workspace:
 
 
 class _NewtonSystem:
-    """The Newton system at one scaling: in (dy, dx_f, dtau) the bordered
-    [[K_u, -g], [q^T, theta]], K_u = [[M + reg I, Gf], [-Gf^T, reg I]] with M
-    the Schur block, g = (u + b; -c_f), q = (b - u; -c_f), u = V c_ps + Gn w2c.
+    """The Newton system at the iterate pt and its NT scaling (R, lam):
+    newton() maps a linearized HSD right-hand side to a direction and its
+    NT-scaled PSD pair.  In (dy, dx_f, dtau) it is [[K_u, -g], [q^T, theta]],
+    K_u = [[M + reg I, Gf], [-Gf^T, reg I]] with M the Schur block at R and
+    w2 = x_nn / s_nn, g = (u + b; -c_f), q = (b - u; -c_f), u = V c_ps + Gn w2c.
     K_u is held as the saddle diag(I, -I) K_u in ws.K, factored there once by
     LU through its transposed view (K up to the rounding of M); so a back-solve
     negates its free rows, exact sign flips that keep the bits of factoring K_u.
-    One eliminates the tau column and solve() takes one, each a scipy.linalg
+    One eliminates the tau column and newton() takes one, each a scipy.linalg
     call looked up when made (so wrappers see it) and counted in ws.stats."""
 
-    def __init__(self, ws: "_Workspace", R, w2, c_ps, w2c, theta: float):
-        self.rows, self.stats = ws.rows, ws.stats
-        K, self.Vz = self.assemble(ws, R, w2)
-        self.stats["kkt_factorizations"] += 1
+    def __init__(self, ws: "_Workspace", pt: "_Point", R: np.ndarray, lam: np.ndarray):
+        self.ws, self.pt, self.R = ws, pt, R
+        self.c_ps = c_ps = svec(R.T @ smat(ws.c_psd) @ R)
+        w_nn = np.sqrt(pt.x_nn / pt.s_nn)
+        self.w2 = w_nn**2
+        self.w2c = self.w2 * ws.c_nn
+        theta = float(c_ps @ c_ps + (w_nn * ws.c_nn) @ (w_nn * ws.c_nn)) + pt.kappa / pt.tau
+        K, self.Vz = self.assemble(ws, R, self.w2)
+        ws.stats["kkt_factorizations"] += 1
         self.lu = scipy.linalg.lu_factor(K.T, overwrite_a=True, check_finite=False)
-        u = self.Vz(c_ps) + ws.matvec(w2c)
+        u = self.Vz(c_ps) + ws.matvec(self.w2c)
         self.q = np.concatenate([ws.b - u, -ws.c_f])
         self.z2 = self._back_solve(u + ws.b, -ws.c_f)
         self.denom = theta + float(self.q @ self.z2)
         self.ok = 0 < self.denom < np.inf  # not so when K or g is not finite
+        self.lam_outer = 2.0 / np.add.outer(lam, lam)
 
     @staticmethod
     def assemble(ws: "_Workspace", R: np.ndarray, w2: np.ndarray):
@@ -700,15 +705,42 @@ class _NewtonSystem:
         return K, Vz
 
     def _back_solve(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        self.stats["kkt_solves"] += 1
+        self.ws.stats["kkt_solves"] += 1
         return scipy.linalg.lu_solve(self.lu, np.concatenate([r, -t]), check_finite=False)
 
-    def solve(self, r: np.ndarray, t: np.ndarray, r3: float):
-        """(dy, dx_f, dtau) for the right-hand side (r; t; r3)."""
-        z = self._back_solve(r, t)
+    def newton(self, t1, t2p, t2n, t2f, t3, Em=None, En=None, Et=0.0):
+        """Solve one linearized HSD system, hsd(d)[:5] = (t1, t2p, t2n, t2f, t3):
+        G dx - b dtau = t1;  -G^T dy + c dtau - ds = t2 (free rows: no ds);
+        b^T dy - c^T dx - dkappa = t3;  scaled complementarities = (Em, En, Et).
+        Em and En left out are zero, and their terms are skipped.  Returns
+        the direction and its PSD blocks in NT-scaled form,
+        dX~ = R^{-1} dX R^{-T} and dS~ = R^T dS R.
+        """
+        ws, pt, R, c_ps, w2 = self.ws, self.pt, self.R, self.c_ps, self.w2
+        t2s = svec(R.T @ smat(t2p) @ R)
+        Wt2 = self.Vz(t2s) + ws.matvec(w2 * t2n)
+        cWt2 = float(c_ps @ t2s + self.w2c @ t2n)
+        r1, r3 = t1 - Wt2, t3 + Et / pt.tau
+        if Em is not None:
+            Hm = Em * self.lam_outer
+            h = svec(Hm)
+            r1 = r1 - (self.Vz(h) + ws.matvec(En / pt.s_nn))
+            r3 = r3 + float(c_ps @ h + ws.c_nn @ (En / pt.s_nn))
+        r3 = r3 + cWt2
+        z = self._back_solve(r1, t2f)  # (dy, dx_f) at dtau = 0, then the tau column
         dtau = (r3 - float(self.q @ z)) / self.denom
         z = z + dtau * self.z2
-        return z[:self.rows], z[self.rows:], dtau
+        dy, dxf = z[:ws.rows], z[ws.rows:]
+        gp, gn, _ = ws.rmatvec(dy, free=False)
+        arg_psd = gp - ws.c_psd * dtau + t2p
+        arg_nn = gn - ws.c_nn * dtau + t2n
+        dSt = -(R.T @ smat(arg_psd) @ R)
+        dXt, dx_nn = -dSt, w2 * arg_nn
+        if Em is not None:
+            dXt, dx_nn = dXt + Hm, dx_nn + En / pt.s_nn
+        dkappa = (Et - pt.kappa * dtau) / pt.tau
+        return (_Point(svec(R @ dXt @ R.T), dx_nn, dxf, dy, -arg_psd, -arg_nn, dtau, dkappa),
+                dXt, dSt)
 
 
 def _inf_norm(*arrays):
@@ -900,46 +932,9 @@ def _iterate(ws: _Workspace):
             R, lam = _nt_scaling(smat(pt.x_psd), smat(pt.s_psd))
         except np.linalg.LinAlgError:
             return _stop(ws, "left_cone")
-        c_ps = svec(R.T @ smat(ws.c_psd) @ R)
-        w_nn = np.sqrt(pt.x_nn / pt.s_nn)
-        w2 = w_nn**2
-        w2c = w2 * ws.c_nn
-        theta = float(c_ps @ c_ps + (w_nn * ws.c_nn) @ (w_nn * ws.c_nn)) + kappa / tau
-        kkt = _NewtonSystem(ws, R, w2, c_ps, w2c, theta)
+        kkt = _NewtonSystem(ws, pt, R, lam)
         if not (mu > 0 and kkt.ok):
             return _stop(ws, "breakdown")
-
-        lam_outer = 2.0 / np.add.outer(lam, lam)
-
-        def newton(t1, t2p, t2n, t2f, t3, Em=None, En=None, Et=0.0):
-            """Solve one linearized HSD system, hsd(d)[:5] = (t1, t2p, t2n, t2f, t3):
-            G dx - b dtau = t1;  -G^T dy + c dtau - ds = t2 (free rows: no ds);
-            b^T dy - c^T dx - dkappa = t3;  scaled complementarities = (Em, En, Et).
-            Em and En left out are zero, and their terms are skipped.  Returns
-            the direction and its PSD blocks in NT-scaled form,
-            dX~ = R^{-1} dX R^{-T} and dS~ = R^T dS R.
-            """
-            t2s = svec(R.T @ smat(t2p) @ R)
-            Wt2 = kkt.Vz(t2s) + ws.matvec(w2 * t2n)
-            cWt2 = float(c_ps @ t2s + w2c @ t2n)
-            r1, r3 = t1 - Wt2, t3 + Et / tau
-            if Em is not None:
-                Hm = Em * lam_outer
-                h = svec(Hm)
-                r1 = r1 - (kkt.Vz(h) + ws.matvec(En / pt.s_nn))
-                r3 = r3 + float(c_ps @ h + ws.c_nn @ (En / pt.s_nn))
-            r3 = r3 + cWt2
-            dy, dxf, dtau = kkt.solve(r1, t2f, r3)
-            gp, gn, _ = ws.rmatvec(dy, free=False)
-            arg_psd = gp - ws.c_psd * dtau + t2p
-            arg_nn = gn - ws.c_nn * dtau + t2n
-            dSt = -(R.T @ smat(arg_psd) @ R)
-            dXt, dx_nn = -dSt, w2 * arg_nn
-            if Em is not None:
-                dXt, dx_nn = dXt + Hm, dx_nn + En / pt.s_nn
-            dkappa = (Et - kappa * dtau) / tau
-            return (_Point(svec(R @ dXt @ R.T), dx_nn, dxf, dy, -arg_psd, -arg_nn, dtau, dkappa),
-                    dXt, dSt)
 
         def direction(sigma, corr_mat, corr_nn, corr_tk):
             eta = 1.0 - sigma
@@ -947,7 +942,7 @@ def _iterate(ws: _Workspace):
             Em = sigma * mu * np.eye(d) - np.diag(lam**2) - corr_mat
             En = sigma * mu - pt.x_nn * pt.s_nn - corr_nn
             Et = sigma * mu - tau * kappa - corr_tk
-            dirn, dXt, dSt = newton(*t, Em, En, Et)
+            dirn, dXt, dSt = kkt.newton(*t, Em, En, Et)
             # refine while the residual, scaled as measures() scales the
             # iterate's (times tau), is above REFINE_FRACTION of tol_feas and
             # falls: rebuilding dx through W amplifies rounding by ||W||, which
@@ -961,13 +956,13 @@ def _iterate(ws: _Workspace):
                     break
                 prev = err
                 ws.stats["refinements"] += 1
-                corr, cXt, cSt = newton(*res_t)
+                corr, cXt, cSt = kkt.newton(*res_t)
                 dirn, dXt, dSt = dirn.step(1.0, corr), dXt + cXt, dSt + cSt
             return dirn, dXt, dSt
 
         def max_step(v: _Point, dXt, dSt):
-            alpha = min(_max_step_scalar(tau, v.tau), _max_step_scalar(kappa, v.kappa),
-                        _max_step_vec(pt.x_nn, v.x_nn), _max_step_vec(pt.s_nn, v.s_nn))
+            alpha = _max_step_vec(np.concatenate(([tau, kappa], pt.x_nn, pt.s_nn)),
+                                  np.concatenate(([v.tau, v.kappa], v.x_nn, v.s_nn)))
             if d:  # in scaled form, where X~ = S~ = diag(lam)
                 alpha = min(alpha, _max_step_scaled(lam, dXt), _max_step_scaled(lam, dSt))
             return alpha
@@ -1060,8 +1055,7 @@ def _assemble(orig: ConicProgram, pre: PresolveResult, ws: _Workspace, status: s
         pobj = -np.inf if orig.sense == "min" else np.inf
         dobj = np.nan
     elif status == STATUS_INFEASIBLE:
-        pobj = np.nan
-        dobj = np.nan
+        pobj = dobj = np.nan
     else:
         pobj = sgn * pobj_int + ws.offset
         dobj = sgn * dobj_int + ws.offset

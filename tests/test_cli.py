@@ -371,7 +371,7 @@ MALFORMED_INSTANCES = {
 ], ids=["solve", "compare", "thm3", "oracle"])
 @pytest.mark.parametrize("name", sorted(MALFORMED_INSTANCES))
 def test_malformed_instance_is_usage_error(tmp_path, capsys, command, name):
-    # reading these fields raises TypeError, not ValueError or KeyError
+    # the loader rejects these with a ValueError that names the field
     path = tmp_path / f"{name}.json"
     path.write_text(MALFORMED_INSTANCES[name])
     code, stdout, err = run(capsys, *command, str(path))

@@ -255,6 +255,21 @@ def test_instance_json_rejects_asymmetric(tmp_path):
         load_instance(path)
 
 
+@pytest.mark.parametrize("change, field", [
+    (lambda obj: [1, 2], None),
+    (lambda obj: {**obj, "n": None}, "n"),
+    (lambda obj: {**obj, "Q": {"a": 1}}, "Q"),
+    (lambda obj: {k: v for k, v in obj.items() if k != "m"}, "m"),
+], ids=["list", "n-null", "Q-object", "m-missing"])
+def test_instance_from_dict_rejects_malformed_input_with_value_error(ex_gap, change, field):
+    obj = change(model.instance_to_dict(ex_gap))
+    with pytest.raises(ValueError, match="instance rejected") as exc:
+        model.instance_from_dict(obj)
+    assert type(exc.value) is ValueError
+    if field is not None:
+        assert repr(field) in str(exc.value)
+
+
 def test_graph_roundtrip(tmp_path):
     G = random_graph(6, seed=11)
     path = tmp_path / "g.graph"

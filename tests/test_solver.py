@@ -613,17 +613,27 @@ def test_schur_chunks_match_the_whole_block(monkeypatch, shuffled):
         np.testing.assert_array_equal(_NewtonSystem.assemble(ws, R, w2)[0], K)
 
 
-def newton_system_at(ws, R, w2):
-    """The seam at scaling R and orthant weights w2, with kappa / tau = 1:
+def newton_system_at(ws, R, x_nn):
+    """The seam at scaling R (lam = 1) and at the start point with x_nn for
+    its orthant block (so w2 = x_nn, to rounding, and kappa / tau = 1):
     (it, K as assembled before it factored K, and its tau column's g, q and
-    theta)."""
-    K = _NewtonSystem.assemble(ws, R, w2)[0].copy()
+    theta, formed as the seam forms them)."""
+    pt = ws.pt._replace(x_nn=x_nn)
+    w_nn = np.sqrt(pt.x_nn / pt.s_nn)
+    K = _NewtonSystem.assemble(ws, R, w_nn**2)[0].copy()
+    kkt = _NewtonSystem(ws, pt, R, np.ones(ws.d))
     c_ps = svec(R.T @ smat(ws.c_psd) @ R)
-    w2c = w2 * ws.c_nn
-    theta = float(c_ps @ c_ps + w2c @ ws.c_nn) + 1.0
-    kkt = _NewtonSystem(ws, R, w2, c_ps, w2c, theta)
-    u = kkt.Vz(c_ps) + ws.matvec(w2c)
+    theta = float(c_ps @ c_ps + (w_nn * ws.c_nn) @ (w_nn * ws.c_nn)) + 1.0
+    u = kkt.Vz(c_ps) + ws.matvec(w_nn**2 * ws.c_nn)
     return kkt, K, np.r_[u + ws.b, -ws.c_f], np.r_[ws.b - u, -ws.c_f], theta
+
+
+def bordered_solve(kkt, r, t, r3):
+    """(dy, dx_f, dtau) for the bordered right-hand side (r; t; r3): newton()
+    with t2p = t2n = 0 and no complementarity terms, whose Schur right-hand
+    side is then (r; t; r3) to the bit."""
+    dirn = kkt.newton(r, np.zeros(kkt.c_ps.size), np.zeros(kkt.w2.size), t, r3)[0]
+    return dirn.y, dirn.x_f, dirn.tau
 
 
 @pytest.mark.parametrize("name", ["sdr_c0", "sdr"])
@@ -639,8 +649,7 @@ def test_saddle_solve_matches_the_unsymmetric_layout(name):
     rng = np.random.default_rng(4)
     for _ in range(3):
         R = rng.standard_normal((ws.d, ws.d))
-        w2 = rng.uniform(0.1, 2.0, ws.p)
-        kkt, saddle, g, q, theta = newton_system_at(ws, R, w2)
+        kkt, saddle, g, q, theta = newton_system_at(ws, R, rng.uniform(0.1, 2.0, ws.p))
         assert np.shares_memory(kkt.lu[0], ws.K)
         old = saddle.copy()
         old[rows:] *= -1.0
@@ -650,10 +659,10 @@ def test_saddle_solve_matches_the_unsymmetric_layout(name):
         z = scipy.linalg.lu_solve(lu, np.r_[r, t])
         dtau = (r3 - float(q @ z)) / (theta + float(q @ z2))
         z = z + dtau * z2
-        for got, want in zip(kkt.solve(r, t, r3), (z[:rows], z[rows:], dtau)):
+        for got, want in zip(bordered_solve(kkt, r, t, r3), (z[:rows], z[rows:], dtau)):
             np.testing.assert_array_equal(got, want)
         # the next assembly rewrites every entry the factorization overwrote
-        np.testing.assert_array_equal(_NewtonSystem.assemble(ws, R, w2)[0], saddle)
+        np.testing.assert_array_equal(_NewtonSystem.assemble(ws, R, kkt.w2)[0], saddle)
 
 
 @pytest.mark.parametrize("name", ["sdr_c0", "mc_dnnp", "sdr2-face"])
@@ -667,14 +676,37 @@ def test_newton_system_solves_the_bordered_system(name):
     rng = np.random.default_rng(6)
     for _ in range(3):
         R = rng.standard_normal((ws.d, ws.d))
-        w2 = rng.uniform(0.1, 2.0, ws.p)
-        kkt, K, g, q, theta = newton_system_at(ws, R, w2)
+        kkt, K, g, q, theta = newton_system_at(ws, R, rng.uniform(0.1, 2.0, ws.p))
         K[rows:] *= -1.0
         B = np.block([[K, -g[:, None]], [q, theta]])
         rhs = rng.standard_normal(B.shape[0])
         want = np.linalg.solve(B, rhs)
-        got = np.r_[kkt.solve(rhs[:rows], rhs[rows:-1], rhs[-1])]
+        got = np.r_[bordered_solve(kkt, rhs[:rows], rhs[rows:-1], rhs[-1])]
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["dnnp-face", "mc_dnnp", "mc_sdr"])
+def test_newton_maps_a_linearized_hsd_right_hand_side_to_its_direction(name):
+    # at the start point of a solve: the direction reproduces the right-hand
+    # side through the HSD map, its NT-scaled pair meets the PSD
+    # complementarity row, and each call takes one back-solve
+    pre = presolve_rank_check({**ROW_PROGRAMS, **FACE_PROGRAMS}[name](), quiet=True)
+    ws = _Workspace(pre.program, SolverSettings(), pre.scan)
+    pt = ws.pt
+    R, lam = solver._nt_scaling(smat(pt.x_psd), smat(pt.s_psd))
+    kkt = _NewtonSystem(ws, pt, R, lam)
+    assert kkt.ok and ws.stats["kkt_solves"] == 1
+    mu = pt.compl() / (ws.nu + 1)
+    t = [-r for r in ws.hsd(pt)[:5]]
+    Em = 0.5 * mu * np.eye(ws.d) - np.diag(lam**2)
+    En, Et = 0.5 * mu - pt.x_nn * pt.s_nn, 0.5 * mu - pt.tau * pt.kappa
+    for calls, comp in enumerate([(Em, En, Et), ()], start=2):
+        dirn, dXt, dSt = kkt.newton(*t, *comp)
+        assert ws.stats["kkt_solves"] == calls
+        err = max(np.abs(np.subtract(a, b)).max(initial=0.0) for a, b in zip(ws.hsd(dirn), t))
+        assert err <= 1e-10 * max(np.abs(b).max(initial=0.0) for b in t)
+        Hm = Em * (2.0 / np.add.outer(lam, lam)) if comp else 0.0
+        np.testing.assert_array_equal(dXt, -dSt + Hm)
 
 
 def test_maxcut_thm4_graph_keeps_verdict_and_iterations(monkeypatch):
