@@ -1,9 +1,9 @@
 """Compile BQP/max-cut relaxations into standard-form conic programs.
 
 Standard form: one PSD block (svec'd), one nonnegative slack block, one free
-block; equality rows only; linear objective plus a constant offset.  Max
-sense is carried as a flag and negated inside the solver; the offset never
-enters the solver.
+block, whose rows hold no other coefficient; equality rows only; linear
+objective plus a constant offset.  Max sense is carried as a flag and
+negated inside the solver; the offset never enters the solver's loop.
 
 The BQP builders attach the face that holds every feasible PSD block
 (``Face``; always for the lifted ones, for ``sdr`` when some b_i = 0), its
@@ -87,6 +87,9 @@ class ConicProgram:
             raise DimensionError("nonneg block shapes inconsistent")
         if self.obj_free.shape != (self.free_count,) or self.G_free.shape != (rows, self.free_count):
             raise DimensionError("free block shapes inconsistent")
+        if self.free_count and np.any(self.G_free.any(axis=1)
+                                      & (self.G_psd.any(axis=1) | self.G_nonneg.any(axis=1))):
+            raise DimensionError("a row with a free coefficient may hold no PSD or orthant one")
         if not np.isfinite(self.offset):
             raise ValueError("offset must be finite")
         face = self.face

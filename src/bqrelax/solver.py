@@ -1,8 +1,9 @@
 """Primal-dual interior-point solver over (PSD block x nonneg orthant x free block).
 
 Algorithm: homogeneous self-dual embedding with Nesterov-Todd scaling for the
-PSD block and a Mehrotra predictor-corrector step.  Free variables are kept
-in the KKT system natively (saddle block), never split.  Certificates:
+PSD block and a Mehrotra predictor-corrector step.  The free block is
+decided before the loop, never split, so the loop's Newton matrix is
+M + reg I (see _solve_free).  Certificates:
 Unbounded returns a primal improving ray normalized to objective -1 (min
 sense); Infeasible returns a dual ray (y, s = -G^T y) normalized to b^T y = 1.
 
@@ -18,8 +19,8 @@ genuine b^T y / tau, sense/offset adjusted.
 
 Presolve (presolve_rank_check) prunes numerically dependent equality rows,
 reporting their multipliers as zero, and ends on an exact certificate when a
-dependent row is inconsistent (Infeasible) or the objective leaves
-range(A_f^T) (Unbounded).  Rows are normalized to unit norm for conditioning.
+dependent row is inconsistent (Infeasible); then the objective leaving
+range(A_f^T) ends it Unbounded.  Rows are normalized to unit norm for conditioning.
 
 Facial reduction: a program whose builder declares a face (relax.Face) and
 whose declared row combinations check out is solved on it, without the rows
@@ -55,7 +56,7 @@ No factorization or solve checks for non-finite values.
 ConicSolution.stats counts the factorizations, the solves and the
 refinement passes, keeps the smallest step length taken (min_step) and
 names the exit (stop_reason).
-An empty block (no PSD block in an LP, no orthant, no free part) takes the
+An empty block (no PSD block in an LP, no orthant) takes the
 same path as any other, as 0 x 0 and length-0 arrays; only the PSD step
 length and the cone checks ask whether there is a PSD block.
 """
@@ -528,7 +529,6 @@ class _Point(NamedTuple):
 
     x_psd: np.ndarray
     x_nn: np.ndarray
-    x_f: np.ndarray
     y: np.ndarray
     s_psd: np.ndarray
     s_nn: np.ndarray
@@ -563,39 +563,34 @@ class _Workspace:
         self.offset = prog.offset
         self.d = prog.psd_order
         self.p = prog.nonneg_count
-        self.f = prog.free_count
         self.c_psd = self.sense_sign * prog.obj_psd
         self.c_nn = self.sense_sign * prog.obj_nonneg
-        self.c_f = self.sense_sign * prog.obj_free
         # row normalization for conditioning; duals are rescaled on report.
         # scan: presolve's _row_scan of prog, when it has made one
         norms, (r, c, v) = scan or _row_scan(prog)
         self.row_scale = np.maximum(norms, 1e-12)
         v = v / self.row_scale[r]
         self.triples = r, c, v  # the nonzeros of the normalized rows
-        self.Gf = prog.G_free / self.row_scale[:, None]
         self.b = prog.rhs / self.row_scale
         self.rows = prog.n_rows
         self.nu = self.d + self.p
-        self.cnorm = _inf_norm(self.c_psd, self.c_nn, self.c_f)
+        self.cnorm = _inf_norm(self.c_psd, self.c_nn)
         self.bnorm = _inf_norm(self.b)
         # G x and G^T y: from the triples of each block, or from the dense
         # normalized blocks (see Row storage in the module docstring)
-        starts = np.array([0, self.c_psd.size, self.c_psd.size + self.p])
-        blk = np.searchsorted(starts, c, side="right") - 1
-        Gp_coo, Gn_coo, Gf_coo = ((r[blk == j], c[blk == j] - starts[j], v[blk == j])
-                                  for j in range(3))
-        self.coo = ((Gp_coo, Gn_coo, Gf_coo)
-                    if r.size <= self.rows + starts[2] + self.f else None)
+        sd = self.c_psd.size
+        psd = c < sd
+        Gp_coo, Gn_coo = (r[psd], c[psd], v[psd]), (r[~psd], c[~psd] - sd, v[~psd])
+        self.coo = (Gp_coo, Gn_coo) if r.size <= self.rows + sd + self.p else None
         dense = self.coo is None
         self.Gp = prog.G_psd / self.row_scale[:, None] if dense else None
         self.Gn = prog.G_nonneg / self.row_scale[:, None] if dense else None
         self.schur = _SchurRows(prog, self.row_scale, Gp_coo, Gn_coo, self.Gp)
         # the KKT buffer, rows in the program's order (see _NewtonSystem)
-        self.K = np.empty((self.rows + self.f, self.rows + self.f))
+        self.K = np.empty((self.rows, self.rows))
 
-        self.pt = _Point(svec(np.eye(self.d)), np.ones(self.p), np.zeros(self.f),
-                         np.zeros(self.rows), svec(np.eye(self.d)), np.ones(self.p), 1.0, 1.0)
+        self.pt = _Point(svec(np.eye(self.d)), np.ones(self.p), np.zeros(self.rows),
+                         svec(np.eye(self.d)), np.ones(self.p), 1.0, 1.0)
         self.history = []
         self.stats = _zero_stats()
         self._best = None
@@ -612,52 +607,44 @@ class _Workspace:
 
     # -- products with the normalized rows -----------------------------
 
-    def matvec(self, nn, psd=None, free=None) -> np.ndarray:
-        """G x for the orthant block nn of x and, when given, its PSD and
-        free blocks (a block left out counts as zero)."""
+    def matvec(self, nn, psd=None) -> np.ndarray:
+        """G x for the orthant block nn of x and, when given, its PSD block."""
         if self.coo is None:
             out = self.Gn @ nn
-            if psd is not None:
-                out = self.Gp @ psd + out
-            if free is not None:
-                out = out + self.Gf @ free
-            return out
+            return out if psd is None else self.Gp @ psd + out
         out = 0.0
-        for (r, c, v), x in zip(self.coo, (psd, nn, free)):
+        for (r, c, v), x in zip(self.coo, (psd, nn)):
             if x is not None:
                 out = out + np.bincount(r, v * x[c], self.rows)
         return out
 
-    def rmatvec(self, y: np.ndarray, free: bool = True):
-        """(Gp^T y, Gn^T y, Gf^T y), the last None unless free is set."""
+    def rmatvec(self, y: np.ndarray):
+        """(Gp^T y, Gn^T y)."""
         if self.coo is None:
-            return self.Gp.T @ y, self.Gn.T @ y, self.Gf.T @ y if free else None
-        (rp, cp, vp), (rn, cn, vn), (rf, cf, vf) = self.coo
-        return (np.bincount(cp, vp * y[rp], self.c_psd.size),
-                np.bincount(cn, vn * y[rn], self.p),
-                np.bincount(cf, vf * y[rf], self.f) if free else None)
+            return self.Gp.T @ y, self.Gn.T @ y
+        (rp, cp, vp), (rn, cn, vn) = self.coo
+        return np.bincount(cp, vp * y[rp], self.c_psd.size), np.bincount(cn, vn * y[rn], self.p)
 
     # -- the HSD map and the stopping measures -------------------------
 
     def hsd(self, v: _Point):
-        """(G x - tau b, tau c - G^T y - s per block (free: no s),
-        b^T y - c^T x - kappa, c^T x, b^T y) at an iterate or a direction v."""
-        rp = self.matvec(v.x_nn, v.x_psd, v.x_f) - v.tau * self.b
-        gp, gn, gf = self.rmatvec(v.y)
+        """(G x - tau b, tau c - G^T y - s per block, b^T y - c^T x - kappa,
+        c^T x, b^T y) at an iterate or a direction v."""
+        rp = self.matvec(v.x_nn, v.x_psd) - v.tau * self.b
+        gp, gn = self.rmatvec(v.y)
         rd_psd = v.tau * self.c_psd - gp - v.s_psd
         rd_nn = v.tau * self.c_nn - gn - v.s_nn
-        rd_f = v.tau * self.c_f - gf
-        cx = float(self.c_psd @ v.x_psd + self.c_nn @ v.x_nn + self.c_f @ v.x_f)
+        cx = float(self.c_psd @ v.x_psd + self.c_nn @ v.x_nn)
         by = float(self.b @ v.y)
-        return rp, rd_psd, rd_nn, rd_f, by - cx - v.kappa, cx, by
+        return rp, rd_psd, rd_nn, by - cx - v.kappa, cx, by
 
     def measures(self, res: tuple, tau: float):
         """(pobj, dobj, pres, dres, gap_rel) of hsd() at an iterate, over tau."""
-        rp, rd_psd, rd_nn, rd_f, _, cx, by = res
+        rp, rd_psd, rd_nn, _, cx, by = res
         pobj = cx / tau
         dobj = by / tau
         pres = _inf_norm(rp) / (tau * (1.0 + self.bnorm))
-        dres = _inf_norm(rd_psd, rd_nn, rd_f) / (tau * (1.0 + self.cnorm))
+        dres = _inf_norm(rd_psd, rd_nn) / (tau * (1.0 + self.cnorm))
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return pobj, dobj, pres, dres, gap_rel
 
@@ -665,14 +652,13 @@ class _Workspace:
 class _NewtonSystem:
     """The Newton system at the iterate pt and its NT scaling (R, lam):
     newton() maps a linearized HSD right-hand side to a direction and its
-    NT-scaled PSD pair.  In (dy, dx_f, dtau) it is [[K_u, -g], [q^T, theta]],
-    K_u = [[M + reg I, Gf], [-Gf^T, reg I]] with M the Schur block at R and
-    w2 = x_nn / s_nn, g = (u + b; -c_f), q = (b - u; -c_f), u = V c_ps + Gn w2c.
-    K_u is held as the saddle diag(I, -I) K_u in ws.K, factored there once by
-    LU through its transposed view (K up to the rounding of M); so a back-solve
-    negates its free rows, exact sign flips that keep the bits of factoring K_u.
-    One eliminates the tau column and newton() takes one, each a scipy.linalg
-    call looked up when made (so wrappers see it) and counted in ws.stats."""
+    NT-scaled PSD pair.  In (dy, dtau) it is [[K, -g], [q^T, theta]],
+    K = M + reg I with M the Schur block at R and w2 = x_nn / s_nn, g = u + b,
+    q = b - u, u = V c_ps + Gn w2c.  K is assembled in ws.K and factored there
+    once by LU through its transposed view (K up to the rounding of M).
+    One back-solve eliminates the tau column and newton() takes one, each a
+    scipy.linalg call looked up when made (so wrappers see it) and counted in
+    ws.stats."""
 
     def __init__(self, ws: "_Workspace", pt: "_Point", R: np.ndarray, lam: np.ndarray):
         self.ws, self.pt, self.R = ws, pt, R
@@ -685,32 +671,28 @@ class _NewtonSystem:
         ws.stats["kkt_factorizations"] += 1
         self.lu = scipy.linalg.lu_factor(K.T, overwrite_a=True, check_finite=False)
         u = self.Vz(c_ps) + ws.matvec(self.w2c)
-        self.q = np.concatenate([ws.b - u, -ws.c_f])
-        self.z2 = self._back_solve(u + ws.b, -ws.c_f)
+        self.q = ws.b - u
+        self.z2 = self._back_solve(u + ws.b)
         self.denom = theta + float(self.q @ self.z2)
         self.ok = 0 < self.denom < np.inf  # not so when K or g is not finite
         self.lam_outer = 2.0 / np.add.outer(lam, lam)
 
     @staticmethod
     def assemble(ws: "_Workspace", R: np.ndarray, w2: np.ndarray):
-        """(K, Vz): every entry of the saddle K written into ws.K, and z -> V z."""
-        K, rows = ws.K, ws.rows
-        M = K[:rows, :rows]
-        Vz = ws.schur.assemble(M, R, w2)
-        reg = KKT_REGULARIZATION * max(1.0, max(M.max(), -M.min()) if rows else 1.0)
-        K[:rows, rows:], K[rows:, :rows], K[rows:, rows:] = ws.Gf, ws.Gf.T, 0.0
-        diag = K.reshape(-1)[::K.shape[0] + 1]
-        diag[:rows] += reg
-        diag[rows:] = -reg
+        """(K, Vz): every entry of K = M + reg I written into ws.K, and z -> V z."""
+        K = ws.K
+        Vz = ws.schur.assemble(K, R, w2)
+        K.reshape(-1)[::K.shape[0] + 1] += KKT_REGULARIZATION * max(
+            1.0, max(K.max(), -K.min()) if ws.rows else 1.0)
         return K, Vz
 
-    def _back_solve(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def _back_solve(self, r: np.ndarray) -> np.ndarray:
         self.ws.stats["kkt_solves"] += 1
-        return scipy.linalg.lu_solve(self.lu, np.concatenate([r, -t]), check_finite=False)
+        return scipy.linalg.lu_solve(self.lu, r, check_finite=False)
 
-    def newton(self, t1, t2p, t2n, t2f, t3, Em=None, En=None, Et=0.0):
-        """Solve one linearized HSD system, hsd(d)[:5] = (t1, t2p, t2n, t2f, t3):
-        G dx - b dtau = t1;  -G^T dy + c dtau - ds = t2 (free rows: no ds);
+    def newton(self, t1, t2p, t2n, t3, Em=None, En=None, Et=0.0):
+        """Solve one linearized HSD system, hsd(d)[:4] = (t1, t2p, t2n, t3):
+        G dx - b dtau = t1;  -G^T dy + c dtau - ds = t2;
         b^T dy - c^T dx - dkappa = t3;  scaled complementarities = (Em, En, Et).
         Em and En left out are zero, and their terms are skipped.  Returns
         the direction and its PSD blocks in NT-scaled form,
@@ -727,11 +709,10 @@ class _NewtonSystem:
             r1 = r1 - (self.Vz(h) + ws.matvec(En / pt.s_nn))
             r3 = r3 + float(c_ps @ h + ws.c_nn @ (En / pt.s_nn))
         r3 = r3 + cWt2
-        z = self._back_solve(r1, t2f)  # (dy, dx_f) at dtau = 0, then the tau column
-        dtau = (r3 - float(self.q @ z)) / self.denom
-        z = z + dtau * self.z2
-        dy, dxf = z[:ws.rows], z[ws.rows:]
-        gp, gn, _ = ws.rmatvec(dy, free=False)
+        dy = self._back_solve(r1)  # dy at dtau = 0, then the tau column
+        dtau = (r3 - float(self.q @ dy)) / self.denom
+        dy = dy + dtau * self.z2
+        gp, gn = ws.rmatvec(dy)
         arg_psd = gp - ws.c_psd * dtau + t2p
         arg_nn = gn - ws.c_nn * dtau + t2n
         dSt = -(R.T @ smat(arg_psd) @ R)
@@ -739,7 +720,7 @@ class _NewtonSystem:
         if Em is not None:
             dXt, dx_nn = dXt + Hm, dx_nn + En / pt.s_nn
         dkappa = (Et - pt.kappa * dtau) / pt.tau
-        return (_Point(svec(R @ dXt @ R.T), dx_nn, dxf, dy, -arg_psd, -arg_nn, dtau, dkappa),
+        return (_Point(svec(R @ dXt @ R.T), dx_nn, dy, -arg_psd, -arg_nn, dtau, dkappa),
                 dXt, dSt)
 
 
@@ -763,19 +744,47 @@ def _solve_direct(prog: ConicProgram, settings: SolverSettings,
     if pre.infeasible:
         return _short_circuit(prog, STATUS_INFEASIBLE, _dual_ray(prog, pre.farkas_y),
                               "presolve_infeasible", np.nan, pre.dropped_rows)
-    work_prog = pre.program
+    if prog.free_count:
+        return _solve_free(prog, pre, settings)
+    ws = _Workspace(pre.program, settings, pre.scan)
+    status, ray_cert = _iterate(ws)
+    return _assemble(prog, pre.dropped_rows, ws, status, ray_cert)
 
-    ray = _free_block_unbounded_ray(work_prog)
-    if ray is not None:
-        d = prog.psd_order
-        ray = RayCertificate(kind="primal", psd=np.zeros((d, d)),
-                             nonneg=np.zeros(prog.nonneg_count), free=ray)
+
+def _solve_free(prog: ConicProgram, pre: PresolveResult, settings: SolverSettings) -> ConicSolution:
+    """The free block, decided by linear algebra: its rows hold no other
+    coefficient (ConicProgram enforces it) and have full row rank after presolve.
+    A c_f outside range(A_f^T) gives the exact improving ray of objective -1.
+    Else x_f solves A_f x_f = b_f, y_f is least squares in A_f^T y_f = c_f,
+    c_f^T x_f = b_f^T y_f joins the offset, the loop solves the other rows,
+    and y_f is lifted onto the free rows; a ray is zero on the free block."""
+    work, n = pre.program, prog.n_rows
+    free = work.G_free.any(axis=1)
+    A, c_f = work.G_free[free], (1.0 if prog.sense == "min" else -1.0) * work.obj_free
+    y_f, *_ = np.linalg.lstsq(A.T, c_f, rcond=None)
+    r = c_f - A.T @ y_f
+    if np.abs(r).max() > FREE_DUAL_RESIDUAL_REL * (1.0 + np.abs(c_f).max()):
+        ray = RayCertificate(kind="primal", psd=np.zeros((prog.psd_order,) * 2),
+                             nonneg=np.zeros(prog.nonneg_count),
+                             free=-r / float(r @ r))  # objective value exactly -1 on the ray
         return _short_circuit(prog, STATUS_UNBOUNDED, ray, "presolve_unbounded",
                               -np.inf if prog.sense == "min" else np.inf, pre.dropped_rows)
-
-    ws = _Workspace(work_prog, settings, pre.scan)
-    status, ray_cert = _iterate(ws)
-    return _assemble(prog, pre, ws, status, ray_cert)
+    x_f, *_ = np.linalg.lstsq(A, work.rhs[free], rcond=None)
+    rest = dataclasses.replace(_keep_rows(work, ~free), free_count=0, obj_free=np.zeros(0),
+                               G_free=work.G_free[~free, :0],
+                               offset=work.offset + float(work.obj_free @ x_f))
+    ws = _Workspace(rest, settings)
+    sol = _assemble(rest, [], ws, *_iterate(ws))
+    rows = np.setdiff1d(np.arange(n), pre.dropped_rows)  # work's rows in prog
+    y, y_ray = np.zeros(n), np.zeros(n)
+    y[rows[~free]], y[rows[free]] = sol.dual_y, y_f
+    ray = sol.ray
+    if ray is not None and ray.kind == "dual":
+        y_ray[rows[~free]] = ray.y
+        ray = _dual_ray(prog, y_ray)
+    elif ray is not None:
+        ray = dataclasses.replace(ray, free=np.zeros(prog.free_count))
+    return dataclasses.replace(sol, primal_free=x_f, dual_y=y, ray=ray, dropped_rows=pre.dropped_rows)
 
 
 def _solve_facial(prog: ConicProgram, settings: SolverSettings) -> ConicSolution:
@@ -849,19 +858,6 @@ def _face_holds(prog: ConicProgram) -> bool:
     return True
 
 
-def _free_block_unbounded_ray(prog: ConicProgram):
-    """Exact improving ray from c_f outside range(A_f^T), if any (min sense)."""
-    if prog.free_count == 0:
-        return None
-    sgn = 1.0 if prog.sense == "min" else -1.0
-    c_f = sgn * prog.obj_free
-    ylsq, *_ = np.linalg.lstsq(prog.G_free.T, c_f, rcond=None)
-    r = c_f - prog.G_free.T @ ylsq
-    if np.abs(r).max() <= FREE_DUAL_RESIDUAL_REL * (1.0 + np.abs(c_f).max()):
-        return None
-    return -r / float(r @ r)  # objective value exactly -1 on the ray
-
-
 def _dual_ray(prog: ConicProgram, y: np.ndarray) -> RayCertificate:
     """Dual ray y in prog's rows, with its slack blocks -G^T y."""
     return RayCertificate(
@@ -921,7 +917,7 @@ def _iterate(ws: _Workspace):
                 and gap_rel <= st.tol_gap and gap_mu_rel <= st.tol_gap):
             return _stop(ws, "optimal", STATUS_OPTIMAL)
 
-        cert = _certificate_scan(ws, res[5], res[6])
+        cert = _certificate_scan(ws, res[4], res[5])
         if cert is not None:
             return _stop(ws, "certificate", *cert)
 
@@ -938,7 +934,7 @@ def _iterate(ws: _Workspace):
 
         def direction(sigma, corr_mat, corr_nn, corr_tk):
             eta = 1.0 - sigma
-            t = [-eta * r for r in res[:5]]
+            t = [-eta * r for r in res[:4]]
             Em = sigma * mu * np.eye(d) - np.diag(lam**2) - corr_mat
             En = sigma * mu - pt.x_nn * pt.s_nn - corr_nn
             Et = sigma * mu - tau * kappa - corr_tk
@@ -951,7 +947,7 @@ def _iterate(ws: _Workspace):
             for _ in range(MAX_REFINEMENTS):
                 res_t = [a - b for a, b in zip(t, ws.hsd(dirn))]
                 err = max(_inf_norm(res_t[0]) / (1.0 + ws.bnorm),
-                          _inf_norm(*res_t[1:4]) / (1.0 + ws.cnorm))
+                          _inf_norm(*res_t[1:3]) / (1.0 + ws.cnorm))
                 if not REFINE_FRACTION * st.tol_feas * tau < err < prev:
                     break
                 prev = err
@@ -1009,14 +1005,14 @@ def _certificate_scan(ws: _Workspace, cx: float, by: float):
     # so its rows (cones) are weighed by it, as in SCS (JOTA 169, 2016, 3.5)
     if cx < 0:
         scale = -cx
-        Gx = ws.matvec(pt.x_nn, pt.x_psd, pt.x_f)
-        ray_norm = _inf_norm(pt.x_psd, pt.x_nn, pt.x_f) / scale
+        Gx = ws.matvec(pt.x_nn, pt.x_psd)
+        ray_norm = _inf_norm(pt.x_psd, pt.x_nn) / scale
         if _inf_norm(Gx) / scale * max(1.0, ws.cnorm) <= st.tol_infeas * (1.0 + ray_norm):
             ray = RayCertificate(
                 kind="primal",
                 psd=smat(pt.x_psd / scale),
                 nonneg=pt.x_nn / scale,
-                free=pt.x_f / scale,
+                free=np.zeros(0),  # the loop's program has no free block
             )
             return STATUS_UNBOUNDED, ray
     if by > 0:
@@ -1024,11 +1020,9 @@ def _certificate_scan(ws: _Workspace, cx: float, by: float):
         # ||y|| certificate with relatively-tiny but absolutely-significant
         # violations proves nothing (rows are unit-normalized internally)
         yr = pt.y / by
-        sp, sn, sf = (-g for g in ws.rmatvec(yr))
-        ok = _inf_norm(sf) <= st.tol_infeas
+        sp, sn = (-g for g in ws.rmatvec(yr))
         tol_cone = st.tol_infeas / max(1.0, ws.bnorm)
-        if ok and ws.p:
-            ok = sn.min() >= -tol_cone
+        ok = not ws.p or sn.min() >= -tol_cone
         if ok and ws.d:
             ok = _lambda_min(smat(sp)) >= -tol_cone
         if ok:
@@ -1037,13 +1031,14 @@ def _certificate_scan(ws: _Workspace, cx: float, by: float):
     return None
 
 
-def _assemble(orig: ConicProgram, pre: PresolveResult, ws: _Workspace, status: str,
+def _assemble(orig: ConicProgram, dropped_rows: list, ws: _Workspace, status: str,
               ray_cert) -> ConicSolution:
+    """orig's solution (orig has no free block) from the loop over its rows less dropped_rows."""
     pt = ws.pt
     tau = pt.tau if pt.tau > 0 else 1.0
 
     # dual multipliers back in original row space (undo normalization, reinsert pruned rows)
-    dropped = set(pre.dropped_rows)
+    dropped = set(dropped_rows)
     kept = [i for i in range(orig.n_rows) if i not in dropped]
     y_model = np.zeros(orig.n_rows)
     y_model[kept] = (pt.y / tau) / ws.row_scale
@@ -1073,7 +1068,7 @@ def _assemble(orig: ConicProgram, pre: PresolveResult, ws: _Workspace, status: s
         status=status,
         primal_psd=smat(pt.x_psd) / tau,
         primal_nonneg=pt.x_nn / tau,
-        primal_free=pt.x_f / tau,
+        primal_free=np.zeros(0),
         dual_y=y_model,
         dual_slack_psd=smat(pt.s_psd) / tau,
         dual_slack_nonneg=pt.s_nn / tau,
@@ -1083,7 +1078,7 @@ def _assemble(orig: ConicProgram, pre: PresolveResult, ws: _Workspace, status: s
         residuals=(pres, dres, gap_rel),
         ray=ray_cert,
         history=ws.history,
-        dropped_rows=pre.dropped_rows,
+        dropped_rows=dropped_rows,
         stats=ws.stats,
     )
 

@@ -190,6 +190,12 @@ def test_verify_theorem3_planted():
     assert rep.verdict == "pass", rep.to_json()
 
 
+def test_verify_theorem3_at_paper_scale():
+    # the paper's n=50/m=25: both solves certify at tol/10 and the optima agree
+    rep = verify_theorem3(generate_instance("RdBQP", 50, 25, seed=1))
+    assert rep.verdict == "pass", rep.to_json()
+
+
 def test_verify_theorem3_infeasible_relaxation_not_applicable():
     # x1 + x2 = 3 is unreachable for the relaxations too (|x_i| <= 1 under the
     # lift), so both solves are Infeasible and the theorem does not apply

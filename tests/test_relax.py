@@ -279,6 +279,25 @@ def test_face_shapes_validated():
             dataclasses.replace(prog, face=f)
 
 
+def test_a_row_mixing_free_and_cone_coefficients_is_rejected():
+    # the solver decides the free block apart from the loop: a row that ties
+    # a free variable to the PSD block or to the orthant has no place
+    prog, _ = build_sdr(generate_instance("RdBQP", 5, 2, seed=1))
+    assert prog.G_free[0].any()  # a_1^T x = b_1
+    G_psd = prog.G_psd.copy()
+    G_psd[0, 0] = 1.0
+    slack = np.zeros((prog.n_rows, 1))
+    slack[0] = -1.0
+    for bad in ({"G_psd": G_psd},
+                {"nonneg_count": 1, "obj_nonneg": np.zeros(1), "G_nonneg": slack}):
+        with pytest.raises(DimensionError, match="free coefficient"):
+            dataclasses.replace(prog, **bad)
+    # the same coefficients on a row without a free one are accepted
+    G_psd[0, 0], slack[0] = 0.0, 0.0
+    G_psd[-1, 0], slack[-1] = 1.0, -1.0
+    dataclasses.replace(prog, G_psd=G_psd, nonneg_count=1, obj_nonneg=np.zeros(1), G_nonneg=slack)
+
+
 # ------------------------------------------------------------ rows against their dense matrices
 
 def sym(d, i, j, v):

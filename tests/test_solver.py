@@ -89,6 +89,45 @@ def test_free_variable_pinned():
     assert sol.primal_free[0] == pytest.approx(3.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("name", ["sdr_c0", "pinned"])
+def test_free_block_is_decided_before_the_loop(monkeypatch, name):
+    # presolve decides the free block by linear algebra: the loop's workspace
+    # never holds it, and x_f, y meet the free rows and columns exactly
+    prog = (sdr_without_linear_term("RdnBQP", 8, 3, 1) if name == "sdr_c0"
+            else lp([1.0], [[1.0]], [3.0], free_cols=1))
+    built = []
+    real = solver._Workspace
+    monkeypatch.setattr(solver, "_Workspace", lambda p, *a: built.append(p.free_count) or real(p, *a))
+    sol = solve(prog)
+    assert sol.status == STATUS_OPTIMAL
+    assert certify(prog, sol, 1e-6).ok
+    assert built == [0]
+    free = prog.G_free.any(axis=1)
+    assert np.abs(prog.G_free[free] @ sol.primal_free - prog.rhs[free]).max() <= 1e-12
+    assert np.abs(prog.G_free.T @ sol.dual_y - prog.obj_free).max() <= 1e-12
+
+
+@pytest.mark.parametrize("status, prog", [
+    # min -x1, x1 - 2 x2 = 0 over the orthant (a ray only after some steps),
+    # and the free row x3 = 3
+    (STATUS_UNBOUNDED, lp([-1.0, 0.0, 1.0], [[1.0, -2.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 3.0],
+                          free_cols=1)),
+    # x1 = -1 over the orthant, and the free row x2 = 3
+    (STATUS_INFEASIBLE, lp([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [-1.0, 3.0], free_cols=1)),
+], ids=["unbounded", "infeasible"])
+def test_loop_certificate_beside_a_free_row(status, prog):
+    # the loop finds the ray on the other rows; lifted back, a primal ray has
+    # a zero free part and a dual ray is zero on the free row
+    sol = solve(prog)
+    assert (sol.status, sol.stats["stop_reason"]) == (status, "certificate")
+    if status == STATUS_UNBOUNDED:
+        np.testing.assert_array_equal(sol.ray.free, np.zeros(1))
+    else:
+        assert sol.ray.y[1] == 0.0
+    rep = certify(prog, sol, 1e-6)
+    assert rep.ok, rep.failed()
+
+
 def test_infeasible_lp_certificate():
     prog = lp([0.0], [[1.0]], [-1.0])  # x = -1 over the orthant
     sol = solve(prog)
@@ -194,6 +233,15 @@ def test_stop_reason_of_a_desk_stall():
     best = (sol.residuals[0], sol.residuals[1])
     logged = [(h.pres, h.dres) for h in sol.history]
     assert best in logged and best != logged[-1]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="at n=50/m=25, RdsBQP seed 1 sdr2 leaves the PSD cone after 30 "
+                          "iterations (NumericalTrouble, stop_reason left_cone)")
+def test_paper_scale_sdr2_stall_ends_optimal():
+    prog = build_sdr2(generate_instance("RdsBQP", 50, 25, seed=1))[0]
+    sol = solve(prog, SolverSettings(tol_gap=1e-8, tol_feas=1e-8, tol_infeas=1e-8))
+    assert (sol.status, sol.stats["stop_reason"]) == (STATUS_OPTIMAL, "optimal"), sol.iters
 
 
 @pytest.mark.parametrize("kind, seed, relax", [("RdiBQP", 33, build_dnnp),
@@ -388,26 +436,33 @@ def append_row(prog, psd_row, nn_row, free_row, rhs):
     )
 
 
+def duplicated_rows(ex_tight):
+    """(program, row): a row of sdr1, and the free row a^T x = b of sdr with c = 0."""
+    inst = BqpInstance(ex_tight.Q, np.zeros(ex_tight.n), ex_tight.A, ex_tight.b)
+    return [(build_sdr1(ex_tight)[0], 1), (build_sdr(inst)[0], 0)]
+
+
 def test_presolve_duplicate_row_dropped(ex_tight):
-    prog, _ = build_sdr1(ex_tight)
-    dup = append_row(prog, prog.G_psd[1], prog.G_nonneg[1], prog.G_free[1], prog.rhs[1])
-    pre = presolve_rank_check(dup)
-    assert not pre.infeasible
-    assert len(pre.dropped_rows) == 1
-    base = solve(prog)
-    again = solve(dup)
-    assert again.status == STATUS_OPTIMAL
-    assert again.primal_obj == pytest.approx(base.primal_obj, abs=1e-6)
+    for prog, r in duplicated_rows(ex_tight):
+        dup = append_row(prog, prog.G_psd[r], prog.G_nonneg[r], prog.G_free[r], prog.rhs[r])
+        pre = presolve_rank_check(dup)
+        assert not pre.infeasible
+        assert len(pre.dropped_rows) == 1
+        base = solve(prog)
+        again = solve(dup)
+        assert again.status == STATUS_OPTIMAL
+        assert again.primal_obj == pytest.approx(base.primal_obj, abs=1e-6)
+        assert certify(dup, again, 1e-6).ok
 
 
 def test_presolve_conflicting_duplicate_infeasible(ex_tight):
-    prog, _ = build_sdr1(ex_tight)
-    bad = append_row(prog, prog.G_psd[1], prog.G_nonneg[1], prog.G_free[1], prog.rhs[1] + 1.0)
-    pre = presolve_rank_check(bad)
-    assert pre.infeasible
-    sol = solve(bad)
-    assert sol.status == STATUS_INFEASIBLE
-    assert certify(bad, sol, 1e-6).ok
+    for prog, r in duplicated_rows(ex_tight):
+        bad = append_row(prog, prog.G_psd[r], prog.G_nonneg[r], prog.G_free[r], prog.rhs[r] + 1.0)
+        pre = presolve_rank_check(bad)
+        assert pre.infeasible
+        sol = solve(bad)
+        assert sol.status == STATUS_INFEASIBLE
+        assert certify(bad, sol, 1e-6).ok
 
 
 def test_presolve_two_dependent_rows_one_conflicting(ex_tight):
@@ -533,10 +588,21 @@ def sdr_without_linear_term(kind, n, m, seed):
     return build_sdr(BqpInstance(inst.Q, np.zeros(n), inst.A, inst.b))[0]
 
 
+def without_free_block(prog):
+    """prog's rows that hold no free coefficient, without the free block: the
+    rows the loop solves once presolve has decided the free block (its
+    constant aside)."""
+    rows = ~prog.G_free.any(axis=1)
+    return dataclasses.replace(
+        prog, free_count=0, obj_free=np.zeros(0), G_psd=prog.G_psd[rows],
+        G_nonneg=prog.G_nonneg[rows], G_free=np.zeros((int(rows.sum()), 0)), rhs=prog.rhs[rows],
+        face=None)
+
+
 SCHUR_PROGRAMS = {
     "mc_sdr": lambda: build_mc_sdr(random_graph(9, seed=2, density=0.5))[0],
     "mc_dnnp": lambda: build_mc_dnnp(random_graph(7, seed=2, density=0.5))[0],
-    "sdr_c0": lambda: sdr_without_linear_term("RdnBQP", 8, 3, 1),
+    "sdr_c0": lambda: without_free_block(sdr_without_linear_term("RdnBQP", 8, 3, 1)),
     "sdr1": lambda: build_sdr1(generate_instance("RdBQP", 6, 3, seed=1))[0],
     "sdr2": lambda: build_sdr2(generate_instance("RdBQP", 6, 3, seed=1))[0],
     "dnnp": lambda: build_dnnp(generate_instance("RdBQP", 6, 3, seed=1))[0],
@@ -545,16 +611,16 @@ SCHUR_PROGRAMS = {
 
 
 def normalized_blocks(prog, ws):
-    """The program's (G_psd, G_nonneg, G_free) over the workspace's row
-    scales: the reference for what the workspace keeps of them."""
-    return tuple(G / ws.row_scale[:, None] for G in (prog.G_psd, prog.G_nonneg, prog.G_free))
+    """The program's (G_psd, G_nonneg) over the workspace's row scales: the
+    reference for what the workspace keeps of them."""
+    return tuple(G / ws.row_scale[:, None] for G in (prog.G_psd, prog.G_nonneg))
 
 
 @pytest.mark.parametrize("name", sorted(SCHUR_PROGRAMS))
 def test_schur_block_matches_congruence_reference(name):
     prog = SCHUR_PROGRAMS[name]()
     ws = _Workspace(prog, SolverSettings())
-    Gp, Gn, Gf = normalized_blocks(prog, ws)
+    Gp, Gn = normalized_blocks(prog, ws)
     rows = ws.schur
     if name.startswith("mc_"):
         assert rows.dense.size == 0
@@ -569,13 +635,11 @@ def test_schur_block_matches_congruence_reference(name):
         K, Vz = _NewtonSystem.assemble(ws, R, w2)
         V = kernels.scaled_congruence_rows(Gp, R)
         M = V @ V.T + (Gn * w2) @ Gn.T
-        reg = solver.KKT_REGULARIZATION * max(1.0, np.abs(M).max())
-        ref = np.block([[M, Gf], [Gf.T, np.zeros((ws.f, ws.f))]])
-        ref += reg * np.diag(np.r_[np.ones(ws.rows), -np.ones(ws.f)])
+        ref = M + solver.KKT_REGULARIZATION * max(1.0, np.abs(M).max()) * np.eye(ws.rows)
         assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
         # LU factors K through its transpose: K is symmetric, bit for bit on
-        # mc_sdr, the saddle of sdr_c0 and lp_shared, and to rounding where a
-        # slot's rows carry unlike scales
+        # mc_sdr, sdr_c0 and lp_shared, and to rounding where a slot's rows
+        # carry unlike scales
         if name in ("mc_sdr", "sdr_c0", "lp_shared"):
             np.testing.assert_array_equal(K, K.T)
         else:
@@ -625,64 +689,36 @@ def newton_system_at(ws, R, x_nn):
     c_ps = svec(R.T @ smat(ws.c_psd) @ R)
     theta = float(c_ps @ c_ps + (w_nn * ws.c_nn) @ (w_nn * ws.c_nn)) + 1.0
     u = kkt.Vz(c_ps) + ws.matvec(w_nn**2 * ws.c_nn)
-    return kkt, K, np.r_[u + ws.b, -ws.c_f], np.r_[ws.b - u, -ws.c_f], theta
+    return kkt, K, u + ws.b, ws.b - u, theta
 
 
-def bordered_solve(kkt, r, t, r3):
-    """(dy, dx_f, dtau) for the bordered right-hand side (r; t; r3): newton()
-    with t2p = t2n = 0 and no complementarity terms, whose Schur right-hand
-    side is then (r; t; r3) to the bit."""
-    dirn = kkt.newton(r, np.zeros(kkt.c_ps.size), np.zeros(kkt.w2.size), t, r3)[0]
-    return dirn.y, dirn.x_f, dirn.tau
-
-
-@pytest.mark.parametrize("name", ["sdr_c0", "sdr"])
-def test_saddle_solve_matches_the_unsymmetric_layout(name):
-    # the seam factors the symmetric saddle [[M + reg, Gf], [Gf^T, -reg]] in
-    # place and negates the free rows of each right-hand side; its solve has
-    # the bits of [[M + reg, Gf], [-Gf^T, reg]] factored on a copy, with the
-    # tau column eliminated there
-    prog = SCHUR_PROGRAMS["sdr_c0"]() if name == "sdr_c0" else ROW_PROGRAMS["sdr"]()
-    ws = _Workspace(prog, SolverSettings())
-    rows = ws.rows
-    assert ws.f
-    rng = np.random.default_rng(4)
-    for _ in range(3):
-        R = rng.standard_normal((ws.d, ws.d))
-        kkt, saddle, g, q, theta = newton_system_at(ws, R, rng.uniform(0.1, 2.0, ws.p))
-        assert np.shares_memory(kkt.lu[0], ws.K)
-        old = saddle.copy()
-        old[rows:] *= -1.0
-        lu = scipy.linalg.lu_factor(old)
-        z2 = scipy.linalg.lu_solve(lu, g)
-        r, t, r3 = rng.standard_normal(rows), rng.standard_normal(ws.f), rng.standard_normal()
-        z = scipy.linalg.lu_solve(lu, np.r_[r, t])
-        dtau = (r3 - float(q @ z)) / (theta + float(q @ z2))
-        z = z + dtau * z2
-        for got, want in zip(bordered_solve(kkt, r, t, r3), (z[:rows], z[rows:], dtau)):
-            np.testing.assert_array_equal(got, want)
-        # the next assembly rewrites every entry the factorization overwrote
-        np.testing.assert_array_equal(_NewtonSystem.assemble(ws, R, kkt.w2)[0], saddle)
+def bordered_solve(kkt, r, r3):
+    """(dy, dtau) for the bordered right-hand side (r; r3): newton() with
+    t2p = t2n = 0 and no complementarity terms, whose Schur right-hand side
+    is then (r; r3) to the bit."""
+    dirn = kkt.newton(r, np.zeros(kkt.c_ps.size), np.zeros(kkt.w2.size), r3)[0]
+    return dirn.y, dirn.tau
 
 
 @pytest.mark.parametrize("name", ["sdr_c0", "mc_dnnp", "sdr2-face"])
 def test_newton_system_solves_the_bordered_system(name):
-    # (dy, dx_f, dtau) solves [[K_u, -g], [q^T, theta]] with
-    # K_u = [[M + reg, Gf], [-Gf^T, reg]]: the tau column's elimination
-    # against a dense solve of the whole bordered matrix
+    # (dy, dtau) solves [[K, -g], [q^T, theta]] with K = M + reg I: the tau
+    # column's elimination against a dense solve of the whole bordered matrix
     prog = {**SCHUR_PROGRAMS, **FACE_PROGRAMS}[name]()
     ws = _Workspace(presolve_rank_check(prog, quiet=True).program, SolverSettings())
-    rows = ws.rows
     rng = np.random.default_rng(6)
     for _ in range(3):
         R = rng.standard_normal((ws.d, ws.d))
         kkt, K, g, q, theta = newton_system_at(ws, R, rng.uniform(0.1, 2.0, ws.p))
-        K[rows:] *= -1.0
+        # K is factored in place, in the workspace's KKT buffer
+        assert np.shares_memory(kkt.lu[0], ws.K)
         B = np.block([[K, -g[:, None]], [q, theta]])
         rhs = rng.standard_normal(B.shape[0])
         want = np.linalg.solve(B, rhs)
-        got = np.r_[bordered_solve(kkt, rhs[:rows], rhs[rows:-1], rhs[-1])]
+        got = np.r_[bordered_solve(kkt, rhs[:-1], rhs[-1])]
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+        # the next assembly rewrites every entry the factorization overwrote
+        np.testing.assert_array_equal(_NewtonSystem.assemble(ws, R, kkt.w2)[0], K)
 
 
 @pytest.mark.parametrize("name", ["dnnp-face", "mc_dnnp", "mc_sdr"])
@@ -697,7 +733,7 @@ def test_newton_maps_a_linearized_hsd_right_hand_side_to_its_direction(name):
     kkt = _NewtonSystem(ws, pt, R, lam)
     assert kkt.ok and ws.stats["kkt_solves"] == 1
     mu = pt.compl() / (ws.nu + 1)
-    t = [-r for r in ws.hsd(pt)[:5]]
+    t = [-r for r in ws.hsd(pt)[:4]]
     Em = 0.5 * mu * np.eye(ws.d) - np.diag(lam**2)
     En, Et = 0.5 * mu - pt.x_nn * pt.s_nn, 0.5 * mu - pt.tau * pt.kappa
     for calls, comp in enumerate([(Em, En, Et), ()], start=2):
@@ -771,7 +807,7 @@ def test_face_reduced_solve_keeps_congruence(monkeypatch, ex_tight):
 def test_mixed_sparse_dense_rows_certified():
     prog = sdr_without_linear_term("RdnBQP", 20, 10, 1)
     assert prog.face is None
-    ws = _Workspace(prog, SolverSettings())
+    ws = _Workspace(without_free_block(prog), SolverSettings())
     assert ws.schur.sparse.size and ws.schur.dense.size
     sol = solve(prog)
     assert sol.status == STATUS_OPTIMAL
@@ -864,16 +900,19 @@ def test_row_blocks_match_the_whole_stack(monkeypatch, name):
     monkeypatch.setattr(solver, "_CHUNK", 1)
     norms, _ = solver._row_scan(prog)
     G = np.hstack([prog.G_psd, prog.G_nonneg, prog.G_free])
+    np.testing.assert_array_equal(norms, np.linalg.norm(G, axis=1))
+    # the loop's rows (sdr's without its free block)
+    loop = without_free_block(prog)
+    G = np.hstack([loop.G_psd, loop.G_nonneg])
     whole = np.linalg.norm(G, axis=1)
-    np.testing.assert_array_equal(norms, whole)
-    ws = _Workspace(prog, SolverSettings())
+    ws = _Workspace(loop, SolverSettings())
     for got, want in zip(ws.triples, solver._coo(G / np.maximum(whole, 1e-12)[:, None])):
         np.testing.assert_array_equal(got, want)
     # presolve keeps every row, so the solve scans them once, and a workspace
     # built from presolve's scan is the one that scans for itself
-    pre = presolve_rank_check(prog, quiet=True)
+    pre = presolve_rank_check(loop, quiet=True)
     given = _Workspace(pre.program, SolverSettings(), pre.scan)
-    for a, b in ((ws.row_scale, given.row_scale), (ws.b, given.b), (ws.Gf, given.Gf),
+    for a, b in ((ws.row_scale, given.row_scale), (ws.b, given.b),
                  *zip(ws.triples, given.triples)):
         np.testing.assert_array_equal(a, b)
     scans = []
@@ -895,24 +934,18 @@ def test_presolve_keeps_a_row_whose_squares_overflow(big):
 
 
 def copied_kkt(ws, R, w2):
-    """The KKT matrix built the earlier way: M assembled on its own, copied
-    into a zeroed K (the saddle [[M + reg I, Gf], [Gf^T, -reg I]]), the
-    regularization taken from np.abs(M)."""
-    rows, f, sch = ws.rows, ws.f, ws.schur
+    """The KKT matrix built the earlier way: M assembled on its own, then
+    K = M + reg I, the regularization taken from np.abs(M)."""
+    rows, sch = ws.rows, ws.schur
     V = kernels.scaled_congruence_rows(ws.Gp, R)
     M = V @ V.T
     if sch.Gn_dense_cols.size:
         M += (sch.Gn_dense * w2[sch.Gn_dense_cols]) @ sch.Gn_dense.T
     if sch.nn_rows.size:
         np.add.at(M, (sch.nn_rows, sch.nn_rows), (sch.nn_vals * w2[sch.nn_cols]) * sch.nn_vals)
-    K = np.zeros((rows + f, rows + f))
-    K[:rows, :rows] = M
-    K[:rows, rows:] = ws.Gf
-    K[rows:, :rows] = ws.Gf.T
-    reg = solver.KKT_REGULARIZATION * max(1.0, np.abs(M).max() if rows else 1.0)
-    K[np.arange(rows), np.arange(rows)] += reg
-    K[np.arange(rows, rows + f), np.arange(rows, rows + f)] -= reg
-    return K
+    M[np.arange(rows), np.arange(rows)] += solver.KKT_REGULARIZATION * max(
+        1.0, np.abs(M).max() if rows else 1.0)
+    return M
 
 
 @pytest.mark.parametrize("name", sorted(FACE_PROGRAMS))
@@ -1152,15 +1185,14 @@ def test_presolve_qr_calls(monkeypatch, name, calls):
 
 
 def blocks_program():
-    """d = 2, p = 2, f = 2 with an all-zero row, rows of one, two and three
-    nonzeros, and an unused orthant and free column."""
+    """d = 2, p = 2 with an all-zero row, rows of one, two and three
+    nonzeros, and an unused orthant column."""
     G_psd = np.array([[1.0, 0, 0], [0, 0, 0], [0, 2.0, 0], [0, 0, 0], [0.5, 0, -1.0]])
-    G_nn = np.array([[0.0, 0], [0, 0], [-1.0, 0], [0, 0], [0, 0]])
-    G_free = np.array([[0.0, 0], [0, 0], [0, 0], [3.0, 0], [1.0, 0]])
+    G_nn = np.array([[0.0, 0], [0, 0], [-1.0, 0], [3.0, 0], [1.0, 0]])
     return ConicProgram(
-        sense="min", psd_order=2, nonneg_count=2, free_count=2,
-        obj_psd=np.zeros(3), obj_nonneg=np.zeros(2), obj_free=np.zeros(2), offset=0.0,
-        G_psd=G_psd, G_nonneg=G_nn, G_free=G_free, rhs=np.ones(5), label="blocks")
+        sense="min", psd_order=2, nonneg_count=2, free_count=0,
+        obj_psd=np.zeros(3), obj_nonneg=np.zeros(2), obj_free=np.zeros(0), offset=0.0,
+        G_psd=G_psd, G_nonneg=G_nn, G_free=np.zeros((5, 0)), rhs=np.ones(5), label="blocks")
 
 
 def no_rows_program():
@@ -1198,7 +1230,7 @@ def test_index_matvecs_match_dense(name):
         assert np.array_equal(got[one], ref[one])
         assert np.all(np.abs(got - ref)[~one] <= 1e-15 * scale[~one])
 
-    check(ws.matvec(xs[1], xs[0], xs[2]), np.hstack(blocks), np.concatenate(xs))
+    check(ws.matvec(xs[1], xs[0]), np.hstack(blocks), np.concatenate(xs))
     check(ws.matvec(xs[1]), blocks[1], xs[1])
     for G, g in zip(blocks, ws.rmatvec(y)):
         check(g, G.T, y)
