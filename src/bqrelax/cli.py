@@ -8,7 +8,8 @@ Exit codes: 0 success; 1 verification failed; 2 usage or malformed input;
 6 verification not applicable.  compare exits with its solves' largest code.
 The default solver tolerance can be overridden with the BQRELAX_TOL
 environment variable or the --tol flag.  verify's --tol is the equivalence
-tolerance (default 1e-6), not the solver's; one that is not positive exits 2.
+tolerance (default 1e-6), not the solver's.  Either tolerance must be a
+positive finite number; any other value exits 2.
 """
 
 import argparse
@@ -146,8 +147,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not args.tol > 0:  # rejects NaN too
-        print(f"error: --tol must be positive, got {args.tol}", file=sys.stderr)
+    if not 0 < args.tol < np.inf:  # rejects NaN too
+        print(f"error: --tol must be positive and finite, got {args.tol}", file=sys.stderr)
         return EXIT_USAGE
     if args.mode == "thm3":
         inst = _load(model.load_instance, args.input, "instance")

@@ -3,9 +3,10 @@
 Algorithm: homogeneous self-dual embedding with Nesterov-Todd scaling for the
 PSD block and a Mehrotra predictor-corrector step.  The free block is
 decided before the loop, never split, so the loop's Newton matrix is
-M + reg I (see _solve_free).  Certificates:
+M + reg I (see _solve).  Certificates:
 Unbounded returns a primal improving ray normalized to objective -1 (min
-sense); Infeasible returns a dual ray (y, s = -G^T y) normalized to b^T y = 1.
+sense); Infeasible returns a dual ray y normalized to b^T y = 1, whose
+slacks -G^T y certify forms itself.
 
 Internal orientation is always min sense (max-sense programs are negated on
 the way in and un-negated in reported objective values; offsets stay outside
@@ -99,8 +100,8 @@ class SolverSettings:
     max_iters: int = 200
 
     def __post_init__(self):
-        if not all(t > 0 for t in (self.tol_gap, self.tol_feas, self.tol_infeas)):  # rejects NaN too
-            raise ValueError("tolerances must be positive")
+        if not all(0 < t < np.inf for t in (self.tol_gap, self.tol_feas, self.tol_infeas)):  # NaN too
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -119,15 +120,15 @@ class IterateRecord:
 
 @dataclass
 class RayCertificate:
-    """Unboundedness (primal) or infeasibility (dual) certificate blocks."""
+    """Unboundedness certificate (primal: the blocks psd, nonneg, free of an
+    improving ray) or infeasibility certificate (dual: y alone, in the
+    program's rows; its slacks are -G^T y)."""
 
     kind: str  # "primal" | "dual"
     psd: np.ndarray | None = None
     nonneg: np.ndarray | None = None
     free: np.ndarray | None = None
     y: np.ndarray | None = None
-    slack_psd: np.ndarray | None = None
-    slack_nonneg: np.ndarray | None = None
 
 
 # the counts kept in ConicSolution.stats (see the module docstring)
@@ -733,73 +734,75 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> ConicSo
     """Solve a standard-form conic program; see module docstring for semantics."""
     settings = settings or SolverSettings()
     t0 = time.perf_counter()
-    sol = _solve_direct(prog, settings) if prog.face is None else _solve_facial(prog, settings)
+    sol = _solve(prog, settings)
     sol.solve_time = time.perf_counter() - t0
     return sol
 
 
-def _solve_direct(prog: ConicProgram, settings: SolverSettings,
-                  quiet_presolve: bool = False) -> ConicSolution:
+def _solve(prog: ConicProgram, settings: SolverSettings,
+           quiet_presolve: bool = False) -> ConicSolution:
+    """Reduce prog, run the loop on the rows left and lift its solution back,
+    each reduction undone once.  A face that holds is solved by _solve_facial.
+    Presolve drops dependent rows.  The free block is decided by linear
+    algebra: its rows hold no other coefficient (ConicProgram enforces it)
+    and have full row rank after presolve.  A c_f outside range(A_f^T) gives
+    the exact improving ray of objective -1.  Else x_f solves A_f x_f = b_f,
+    y_f is least squares in A_f^T y_f = c_f, c_f^T x_f = b_f^T y_f joins the
+    offset and the loop solves the other rows.  y (a dual ray's y) is the
+    loop's on its rows, y_f (zero) on the free rows and zero on the dropped
+    rows; a primal ray is zero on the free block."""
+    if prog.face is not None:
+        if _face_holds(prog):
+            return _solve_facial(prog, settings)
+        log.warning("facial reduction: the face's row combination does not hold; "
+                    "solving the program unreduced")
     pre = presolve_rank_check(prog, quiet=quiet_presolve)
     if pre.infeasible:
-        return _short_circuit(prog, STATUS_INFEASIBLE, _dual_ray(prog, pre.farkas_y),
+        return _short_circuit(prog, STATUS_INFEASIBLE, RayCertificate(kind="dual", y=pre.farkas_y),
                               "presolve_infeasible", np.nan, pre.dropped_rows)
-    if prog.free_count:
-        return _solve_free(prog, pre, settings)
-    ws = _Workspace(pre.program, settings, pre.scan)
-    status, ray_cert = _iterate(ws)
-    return _assemble(prog, pre.dropped_rows, ws, status, ray_cert)
-
-
-def _solve_free(prog: ConicProgram, pre: PresolveResult, settings: SolverSettings) -> ConicSolution:
-    """The free block, decided by linear algebra: its rows hold no other
-    coefficient (ConicProgram enforces it) and have full row rank after presolve.
-    A c_f outside range(A_f^T) gives the exact improving ray of objective -1.
-    Else x_f solves A_f x_f = b_f, y_f is least squares in A_f^T y_f = c_f,
-    c_f^T x_f = b_f^T y_f joins the offset, the loop solves the other rows,
-    and y_f is lifted onto the free rows; a ray is zero on the free block."""
-    work, n = pre.program, prog.n_rows
+    work, scan = pre.program, pre.scan
     free = work.G_free.any(axis=1)
-    A, c_f = work.G_free[free], (1.0 if prog.sense == "min" else -1.0) * work.obj_free
-    y_f, *_ = np.linalg.lstsq(A.T, c_f, rcond=None)
-    r = c_f - A.T @ y_f
-    if np.abs(r).max() > FREE_DUAL_RESIDUAL_REL * (1.0 + np.abs(c_f).max()):
-        ray = RayCertificate(kind="primal", psd=np.zeros((prog.psd_order,) * 2),
-                             nonneg=np.zeros(prog.nonneg_count),
-                             free=-r / float(r @ r))  # objective value exactly -1 on the ray
-        return _short_circuit(prog, STATUS_UNBOUNDED, ray, "presolve_unbounded",
-                              -np.inf if prog.sense == "min" else np.inf, pre.dropped_rows)
-    x_f, *_ = np.linalg.lstsq(A, work.rhs[free], rcond=None)
-    rest = dataclasses.replace(_keep_rows(work, ~free), free_count=0, obj_free=np.zeros(0),
-                               G_free=work.G_free[~free, :0],
-                               offset=work.offset + float(work.obj_free @ x_f))
-    ws = _Workspace(rest, settings)
-    sol = _assemble(rest, [], ws, *_iterate(ws))
-    rows = np.setdiff1d(np.arange(n), pre.dropped_rows)  # work's rows in prog
-    y, y_ray = np.zeros(n), np.zeros(n)
-    y[rows[~free]], y[rows[free]] = sol.dual_y, y_f
+    x_f = y_f = np.zeros(0)
+    if prog.free_count:
+        A, c_f = work.G_free[free], (1.0 if prog.sense == "min" else -1.0) * work.obj_free
+        y_f, *_ = np.linalg.lstsq(A.T, c_f, rcond=None)
+        r = c_f - A.T @ y_f
+        if np.abs(r).max() > FREE_DUAL_RESIDUAL_REL * (1.0 + np.abs(c_f).max()):
+            ray = RayCertificate(kind="primal", psd=np.zeros((prog.psd_order,) * 2),
+                                 nonneg=np.zeros(prog.nonneg_count),
+                                 free=-r / float(r @ r))  # objective value exactly -1 on the ray
+            return _short_circuit(prog, STATUS_UNBOUNDED, ray, "presolve_unbounded",
+                                  -np.inf if prog.sense == "min" else np.inf, pre.dropped_rows)
+        x_f, *_ = np.linalg.lstsq(A, work.rhs[free], rcond=None)
+        work, scan = dataclasses.replace(
+            _keep_rows(work, ~free), free_count=0, obj_free=np.zeros(0),
+            G_free=work.G_free[~free, :0], offset=work.offset + float(work.obj_free @ x_f)), None
+    ws = _Workspace(work, settings, scan)
+    sol = _assemble(work, ws, *_iterate(ws))
+    rows = np.setdiff1d(np.arange(prog.n_rows), pre.dropped_rows)  # pre.program's rows in prog
+
+    def lift(v, v_f):
+        out = np.zeros(prog.n_rows)
+        out[rows[~free]], out[rows[free]] = v, v_f
+        return out
+
     ray = sol.ray
     if ray is not None and ray.kind == "dual":
-        y_ray[rows[~free]] = ray.y
-        ray = _dual_ray(prog, y_ray)
+        ray = RayCertificate(kind="dual", y=lift(ray.y, 0.0))
     elif ray is not None:
         ray = dataclasses.replace(ray, free=np.zeros(prog.free_count))
-    return dataclasses.replace(sol, primal_free=x_f, dual_y=y, ray=ray, dropped_rows=pre.dropped_rows)
+    return dataclasses.replace(sol, primal_free=x_f, dual_y=lift(sol.dual_y, y_f), ray=ray,
+                               dropped_rows=pre.dropped_rows)
 
 
 def _solve_facial(prog: ConicProgram, settings: SolverSettings) -> ConicSolution:
-    """Facial reduction onto the builder's face (relax.Face): restrict the
-    PSD block to the orthogonal complement V of the kernel, drop the rows the
-    face implies, solve the (Slater-restored) reduced program and lift it
-    back.  y is zero on the implied rows and the PSD slack is c - G^T y with
-    its V-block spliced from the reduced slack, PSD on the face only (see
-    certify).  A face whose row combinations do not check out is not used:
-    the program is solved unreduced."""
+    """Facial reduction onto the builder's face (relax.Face), whose row
+    combinations hold: restrict the PSD block to the orthogonal complement V
+    of the kernel, drop the rows the face implies, solve the
+    (Slater-restored) reduced program and lift it back.  y is zero on the
+    implied rows and the PSD slack is c - G^T y with its V-block spliced from
+    the reduced slack, PSD on the face only (see certify)."""
     face = prog.face
-    if not _face_holds(prog):
-        log.warning("facial reduction: the face's row combination does not hold; "
-                    "solving the program unreduced")
-        return _solve_direct(prog, settings)
     V = _face_basis(face.kernel)
     keep = np.setdiff1d(np.arange(prog.n_rows), face.implied)
 
@@ -809,7 +812,7 @@ def _solve_facial(prog: ConicProgram, settings: SolverSettings) -> ConicSolution
         G_nonneg=prog.G_nonneg[keep], G_free=prog.G_free[keep], rhs=prog.rhs[keep], face=None)
     # rows can still depend on each other on the face (diagonal rows at
     # large m), so the prune log is demoted
-    inner = _solve_direct(reduced, settings, quiet_presolve=True)
+    inner = _solve(reduced, settings, quiet_presolve=True)
 
     def lift_y(y_reduced):
         y_full = np.zeros(prog.n_rows)
@@ -827,7 +830,7 @@ def _solve_facial(prog: ConicProgram, settings: SolverSettings) -> ConicSolution
     if ray_cert is not None and ray_cert.kind == "primal":
         ray_cert = dataclasses.replace(ray_cert, psd=V @ ray_cert.psd @ V.T)
     elif ray_cert is not None and ray_cert.kind == "dual":
-        ray_cert = _dual_ray(prog, lift_y(ray_cert.y))
+        ray_cert = RayCertificate(kind="dual", y=lift_y(ray_cert.y))
 
     # the orthant dual slack stays the reduced solve's: nonnegative by
     # construction, consistent with y up to the reduced solve's dual residual
@@ -856,16 +859,6 @@ def _face_holds(prog: ConicProgram) -> bool:
         if float(k @ k) == 0.0 or np.any(np.abs(c @ B - want) > 1e-12 * (1.0 + np.abs(c) @ np.abs(B))):
             return False
     return True
-
-
-def _dual_ray(prog: ConicProgram, y: np.ndarray) -> RayCertificate:
-    """Dual ray y in prog's rows, with its slack blocks -G^T y."""
-    return RayCertificate(
-        kind="dual",
-        y=y,
-        slack_psd=smat(-prog.G_psd.T @ y),
-        slack_nonneg=-prog.G_nonneg.T @ y,
-    )
 
 
 def _short_circuit(prog: ConicProgram, status: str, ray: RayCertificate, reason: str,
@@ -1008,13 +1001,8 @@ def _certificate_scan(ws: _Workspace, cx: float, by: float):
         Gx = ws.matvec(pt.x_nn, pt.x_psd)
         ray_norm = _inf_norm(pt.x_psd, pt.x_nn) / scale
         if _inf_norm(Gx) / scale * max(1.0, ws.cnorm) <= st.tol_infeas * (1.0 + ray_norm):
-            ray = RayCertificate(
-                kind="primal",
-                psd=smat(pt.x_psd / scale),
-                nonneg=pt.x_nn / scale,
-                free=np.zeros(0),  # the loop's program has no free block
-            )
-            return STATUS_UNBOUNDED, ray
+            return STATUS_UNBOUNDED, RayCertificate(kind="primal", psd=smat(pt.x_psd / scale),
+                                                    nonneg=pt.x_nn / scale)
     if by > 0:
         # cone margins are checked absolutely on the normalized ray: a huge
         # ||y|| certificate with relatively-tiny but absolutely-significant
@@ -1026,28 +1014,21 @@ def _certificate_scan(ws: _Workspace, cx: float, by: float):
         if ok and ws.d:
             ok = _lambda_min(smat(sp)) >= -tol_cone
         if ok:
-            # _assemble builds the slacks in the original rows
             return STATUS_INFEASIBLE, RayCertificate(kind="dual", y=yr)
     return None
 
 
-def _assemble(orig: ConicProgram, dropped_rows: list, ws: _Workspace, status: str,
-              ray_cert) -> ConicSolution:
-    """orig's solution (orig has no free block) from the loop over its rows less dropped_rows."""
+def _assemble(prog: ConicProgram, ws: _Workspace, status: str, ray_cert) -> ConicSolution:
+    """prog's solution (prog has no free block) from the loop over its rows:
+    the row normalization undone, a dual ray scaled to b^T y = 1."""
     pt = ws.pt
     tau = pt.tau if pt.tau > 0 else 1.0
-
-    # dual multipliers back in original row space (undo normalization, reinsert pruned rows)
-    dropped = set(dropped_rows)
-    kept = [i for i in range(orig.n_rows) if i not in dropped]
-    y_model = np.zeros(orig.n_rows)
-    y_model[kept] = (pt.y / tau) / ws.row_scale
     sgn = ws.sense_sign
 
     pobj_int, dobj_int, pres, dres, gap_rel = ws.measures(ws.hsd(pt), tau)
 
     if status == STATUS_UNBOUNDED:
-        pobj = -np.inf if orig.sense == "min" else np.inf
+        pobj = -np.inf if prog.sense == "min" else np.inf
         dobj = np.nan
     elif status == STATUS_INFEASIBLE:
         pobj = dobj = np.nan
@@ -1056,20 +1037,18 @@ def _assemble(orig: ConicProgram, dropped_rows: list, ws: _Workspace, status: st
         dobj = sgn * dobj_int + ws.offset
 
     if ray_cert is not None and ray_cert.kind == "dual":
-        # map y back to original rows (certificate found in scaled, pruned space)
-        y_full = np.zeros(orig.n_rows)
-        y_full[kept] = ray_cert.y / ws.row_scale
-        scale = orig.rhs @ y_full
+        y = ray_cert.y / ws.row_scale
+        scale = prog.rhs @ y
         if scale > 0:
-            y_full /= scale
-        ray_cert = _dual_ray(orig, y_full)
+            y /= scale
+        ray_cert = RayCertificate(kind="dual", y=y)
 
     return ConicSolution(
         status=status,
         primal_psd=smat(pt.x_psd) / tau,
         primal_nonneg=pt.x_nn / tau,
         primal_free=np.zeros(0),
-        dual_y=y_model,
+        dual_y=(pt.y / tau) / ws.row_scale,
         dual_slack_psd=smat(pt.s_psd) / tau,
         dual_slack_nonneg=pt.s_nn / tau,
         primal_obj=pobj,
@@ -1078,7 +1057,6 @@ def _assemble(orig: ConicProgram, dropped_rows: list, ws: _Workspace, status: st
         residuals=(pres, dres, gap_rel),
         ray=ray_cert,
         history=ws.history,
-        dropped_rows=dropped_rows,
         stats=ws.stats,
     )
 
@@ -1178,20 +1156,17 @@ def certify(prog: ConicProgram, sol: ConicSolution, tol: float = 1e-6) -> Certif
             checks.append(CertCheck("ray_nonneg_cone", -float(ray.nonneg.min()), tol))
         obj = float(sgn * (prog.obj_psd @ xs + prog.obj_nonneg @ ray.nonneg + prog.obj_free @ ray.free))
         checks.append(CertCheck("ray_objective<=-1", obj + 1.0, tol))
-    else:  # STATUS_INFEASIBLE
-        ray = sol.ray
-        ynorm = 1.0 + _inf_norm(ray.y)
-        res_p = prog.G_psd.T @ ray.y + svec(ray.slack_psd)
-        res_n = prog.G_nonneg.T @ ray.y + ray.slack_nonneg
-        res_f = prog.G_free.T @ ray.y
-        checks.append(CertCheck("farkas_residual", _inf_norm(res_p, res_n, res_f) / ynorm, tol))
+    else:  # STATUS_INFEASIBLE: the ray y, its slacks -G^T y in the cones, G_free^T y = 0
+        y = sol.ray.y
+        checks.append(CertCheck("farkas_residual",
+                                _inf_norm(prog.G_free.T @ y) / (1.0 + _inf_norm(y)), tol))
         bscale = max(1.0, _inf_norm(prog.rhs))  # as in _certificate_scan
         if d:
-            checks.append(CertCheck("farkas_psd_cone",
-                                    -psd_margin(_on_face(prog, ray.slack_psd)) * bscale, tol))
+            S = smat(-prog.G_psd.T @ y)
+            checks.append(CertCheck("farkas_psd_cone", -psd_margin(_on_face(prog, S)) * bscale, tol))
         if prog.nonneg_count:
             checks.append(CertCheck("farkas_nonneg_cone",
-                                    -float(ray.slack_nonneg.min()) * bscale, tol))
-        checks.append(CertCheck("farkas_objective>=1", 1.0 - float(prog.rhs @ ray.y), tol))
+                                    float((prog.G_nonneg.T @ y).max()) * bscale, tol))
+        checks.append(CertCheck("farkas_objective>=1", 1.0 - float(prog.rhs @ y), tol))
 
     return CertificateReport(status=sol.status, checks=checks)

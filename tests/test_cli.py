@@ -314,9 +314,12 @@ VERIFY_THM4 = ["verify", "--mode", "thm4", TRIANGLE]
     (MAXCUT_SDR + ["--max-iters", "0"], {}),
     (MAXCUT_SDR + ["--tol", "-1"], {}),
     (MAXCUT_SDR + ["--tol", "nan"], {}),
+    (MAXCUT_SDR + ["--tol", "inf"], {}),
     (MAXCUT_SDR, {"BQRELAX_TOL": "abc"}),
+    (MAXCUT_SDR, {"BQRELAX_TOL": "inf"}),
     (VERIFY_THM4 + ["--tol", "-1"], {}),
     (VERIFY_THM4 + ["--tol", "nan"], {}),
+    (VERIFY_THM4 + ["--tol", "inf"], {}),
 ])
 def test_bad_solver_settings_exit_2(flags, env):
     # as a process, so that an escaping exception shows as a traceback

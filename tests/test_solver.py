@@ -107,25 +107,41 @@ def test_free_block_is_decided_before_the_loop(monkeypatch, name):
     assert np.abs(prog.G_free.T @ sol.dual_y - prog.obj_free).max() <= 1e-12
 
 
-@pytest.mark.parametrize("status, prog", [
+@pytest.mark.parametrize("status, prog, dropped", [
     # min -x1, x1 - 2 x2 = 0 over the orthant (a ray only after some steps),
     # and the free row x3 = 3
     (STATUS_UNBOUNDED, lp([-1.0, 0.0, 1.0], [[1.0, -2.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 3.0],
-                          free_cols=1)),
+                          free_cols=1), []),
     # x1 = -1 over the orthant, and the free row x2 = 3
-    (STATUS_INFEASIBLE, lp([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [-1.0, 3.0], free_cols=1)),
-], ids=["unbounded", "infeasible"])
-def test_loop_certificate_beside_a_free_row(status, prog):
-    # the loop finds the ray on the other rows; lifted back, a primal ray has
-    # a zero free part and a dual ray is zero on the free row
+    (STATUS_INFEASIBLE, lp([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [-1.0, 3.0], free_cols=1), []),
+    # the same with the duplicate 3 x1 = -3, one of the two dropped by presolve
+    (STATUS_INFEASIBLE, lp([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [3.0, 0.0]], [-1.0, 3.0, -3.0],
+                           free_cols=1), [0]),
+], ids=["unbounded", "infeasible", "infeasible_dropped"])
+def test_loop_certificate_beside_a_free_row(status, prog, dropped):
+    # the loop finds the ray on the other rows; lifted back once, a primal ray
+    # has a zero free part and a dual ray is exactly zero on the free row and
+    # the dropped rows
     sol = solve(prog)
-    assert (sol.status, sol.stats["stop_reason"]) == (status, "certificate")
+    assert (sol.status, sol.stats["stop_reason"], sol.dropped_rows) == (status, "certificate", dropped)
     if status == STATUS_UNBOUNDED:
         np.testing.assert_array_equal(sol.ray.free, np.zeros(1))
     else:
-        assert sol.ray.y[1] == 0.0
+        assert sol.ray.y[1] == 0.0 and not sol.ray.y[dropped].any()
     rep = certify(prog, sol, 1e-6)
     assert rep.ok, rep.failed()
+
+
+def test_a_dual_ray_is_its_y_and_certify_checks_its_free_part():
+    # certify forms the ray's slacks -G^T y itself; farkas_residual is
+    # G_free^T y, which a ray off the free columns fails alone
+    assert [f.name for f in dataclasses.fields(solver.RayCertificate)] == [
+        "kind", "psd", "nonneg", "free", "y"]
+    prog = lp([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [-1.0, 3.0], free_cols=1)
+    sol = solve(prog)
+    assert certify(prog, sol, 1e-6).ok
+    off = dataclasses.replace(sol, ray=solver.RayCertificate(kind="dual", y=np.array([-1.0, 1e-3])))
+    assert [c.name for c in certify(prog, off, 1e-6).failed()] == ["farkas_residual"]
 
 
 def test_infeasible_lp_certificate():
@@ -283,8 +299,7 @@ def test_certify_weighs_a_ray_by_the_data():
     rep = certify(lp([-1e10, 1.0], [[1.0, 1.0]], [1.0]), unb, 1e-6)
     assert [c.name for c in rep.failed()] == ["ray_rows"]
     inf = dataclasses.replace(unb, status=STATUS_INFEASIBLE, primal_obj=np.nan,
-                              ray=solver._dual_ray(lp([1.0, 2.0], [[1.0, 1.0]], [1e10]),
-                                                   np.array([1e-10])))
+                              ray=solver.RayCertificate(kind="dual", y=np.array([1e-10])))
     rep = certify(lp([1.0, 2.0], [[1.0, 1.0]], [1e10]), inf, 1e-6)
     assert [c.name for c in rep.failed()] == ["farkas_nonneg_cone"]
 
@@ -294,6 +309,9 @@ def test_settings_validation():
         SolverSettings(tol_gap=0.0)
     with pytest.raises(ValueError):
         SolverSettings(tol_feas=float("nan"))
+    for key in ("tol_gap", "tol_feas", "tol_infeas"):
+        with pytest.raises(ValueError):  # inf > 0 made every iterate Optimal
+            SolverSettings(**{key: float("inf")})
     with pytest.raises(ValueError):
         SolverSettings(max_iters=0)
 
